@@ -49,13 +49,10 @@ namespace rmalock::bench {
 namespace {
 
 /// One drift severity: budget, per-op chance, worst-case rate error and
-/// skew step (SimOptions equivalents; "off" keeps every clock perfect).
+/// skew step ("off" keeps every clock perfect).
 struct DriftMix {
   const char* tag;
-  i32 max_events = 0;
-  u32 chance_permille = 0;
-  u32 rate_permille = 0;
-  Nanos skew_window = 0;
+  rma::FaultConfig faults;  // drift knobs only
 };
 
 enum class Mode { kSuspicion, kTimed, kFenced };
@@ -72,10 +69,7 @@ rma::SimOptions mix_options(const BenchEnv& env, i32 p, const DriftMix& mix) {
   rma::SimOptions options;
   options.topology = topo::Topology::uniform({}, p);
   options.seed = env.seed;
-  options.max_drift_events = mix.max_events;
-  options.drift_chance_permille = mix.chance_permille;
-  options.max_drift_permille = mix.rate_permille;
-  options.skew_window = mix.skew_window;
+  options.faults = mix.faults;
   return options;
 }
 
@@ -215,7 +209,8 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
        makespan > 0
            ? static_cast<double>(commits) * 1e3 / static_cast<double>(makespan)
            : 0.0},
-      {"injected_drift_events", static_cast<double>(run.drift_events)}};
+      {"injected_drift_events",
+       static_cast<double>(run.injected[rma::FaultKind::kDrift])}};
   return point;
 }
 
@@ -248,9 +243,17 @@ int main(int argc, char** argv) {
   const i32 acquires_total = env.quick ? 48 : 120;
 
   std::vector<DriftMix> mixes = {
-      {"off", 0, 0, 0, 0},
-      {"moderate", 8, 100, 50, 1'000},
-      {"severe", 16, 200, 200, 2'000},
+      {"off", {}},
+      {"moderate",
+       {.max_drift_events = 8,
+        .drift_chance_permille = 100,
+        .max_drift_permille = 50,
+        .skew_window = 1'000}},
+      {"severe",
+       {.max_drift_events = 16,
+        .drift_chance_permille = 200,
+        .max_drift_permille = 200,
+        .skew_window = 2'000}},
   };
   // Smoke keeps the two severities the shape checks read.
   if (env.smoke) mixes.erase(mixes.begin() + 1);

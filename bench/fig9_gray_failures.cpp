@@ -47,15 +47,12 @@ namespace {
 /// the network when ordinary queueing stays well below it.
 constexpr Nanos kDeadlineNs = 50'000;
 
-/// One injected fault mix. The shared chance knob draws per remote op;
-/// budgets bound the totals so "span" stays the controlled variable.
+/// One injected fault mix (gray knobs only). The shared chance knob draws
+/// per remote op; budgets bound the totals so "span" stays the controlled
+/// variable.
 struct FaultMix {
   const char* tag;
-  u32 chance_permille = 0;  // 0 = fault-free
-  i32 max_delays = 0;
-  i64 delay_factor = 32;
-  i32 max_partitions = 0;
-  Nanos partition_span = 0;
+  rma::FaultConfig faults;
 };
 
 enum class Mode { kBlocking, kDeadline, kDegraded };
@@ -67,11 +64,7 @@ struct ModeDef {
 
 rma::SimOptions mix_options(const BenchEnv& env, i32 p, const FaultMix& mix) {
   rma::SimOptions options = env.sim_options_for(p);
-  options.delay_chance_permille = mix.chance_permille;
-  options.max_delays = mix.max_delays;
-  options.delay_factor = mix.delay_factor;
-  options.max_partitions = mix.max_partitions;
-  options.partition_span = mix.partition_span;
+  options.faults = mix.faults;
   return options;
 }
 
@@ -185,8 +178,10 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
        static_cast<double>(successes) / static_cast<double>(total_ops)},
       {"timeouts", static_cast<double>(timeouts)},
       {"degraded_fastfails", static_cast<double>(fastfails)},
-      {"injected_delays", static_cast<double>(run.delays)},
-      {"injected_partitions", static_cast<double>(run.partitions)}};
+      {"injected_delays",
+       static_cast<double>(run.injected[rma::FaultKind::kDelay])},
+      {"injected_partitions",
+       static_cast<double>(run.injected[rma::FaultKind::kPartition])}};
   return point;
 }
 
@@ -212,11 +207,25 @@ int main(int argc, char** argv) {
       "scale the blocking baseline's tail with the partition span");
 
   const FaultMix mixes[] = {
-      {"clean", 0, 0, 32, 0, 0},
-      {"delay", 100, 256, 32, 0, 0},
-      {"part=150us", 20, 0, 32, 32, 150'000},
-      {"part=600us", 20, 0, 32, 32, 600'000},
-      {"gray", 60, 256, 32, 32, 600'000},
+      {"clean", {}},
+      {"delay",
+       {.max_delays = 256, .delay_chance_permille = 100, .delay_factor = 32}},
+      {"part=150us",
+       {.delay_chance_permille = 20,
+        .delay_factor = 32,
+        .max_partitions = 32,
+        .partition_span = 150'000}},
+      {"part=600us",
+       {.delay_chance_permille = 20,
+        .delay_factor = 32,
+        .max_partitions = 32,
+        .partition_span = 600'000}},
+      {"gray",
+       {.max_delays = 256,
+        .delay_chance_permille = 60,
+        .delay_factor = 32,
+        .max_partitions = 32,
+        .partition_span = 600'000}},
   };
   const ModeDef modes[] = {{"blocking", Mode::kBlocking},
                            {"deadline", Mode::kDeadline},

@@ -38,9 +38,10 @@ RecoveryResult measure_recovery(const BenchEnv& env, i32 p, u64 rep,
                                 locks::Backend inner_backend, bool restart) {
   rma::SimOptions options = env.sim_options_for(p);
   options.seed = mix_seed(options.seed, 1000 + rep);
-  options.max_crashes = 1;
-  options.crash_chance_permille = 1000;  // the armed point fires for sure
-  options.restart_crashed = restart;
+  options.faults.max_crashes = 1;
+  // The armed point fires for sure.
+  options.faults.crash_chance_permille = 1000;
+  options.faults.restart_crashed = restart;
   auto world = rma::SimWorld::create(options);
   auto inner = locks::make_exclusive(inner_backend, *world);
   locks::LeaseExclusive lease(*world, std::move(inner), locks::LeaseParams{});
@@ -78,7 +79,7 @@ RecoveryResult measure_recovery(const BenchEnv& env, i32 p, u64 rep,
   RMALOCK_CHECK_MSG(run.ok(), "crash-recovery bench run failed");
 
   RecoveryResult result;
-  result.crashes = run.crashes;
+  result.crashes = run.injected[rma::FaultKind::kCrash];
   result.recovered = recovery_ns >= 0;
   result.recovery_us = static_cast<double>(recovery_ns) / 1e3;
   return result;
@@ -97,8 +98,8 @@ struct ReclaimResult {
 ReclaimResult measure_space_reclaim(const BenchEnv& env, i32 p, u64 rep) {
   rma::SimOptions options = env.sim_options_for(p);
   options.seed = mix_seed(options.seed, 2000 + rep);
-  options.max_crashes = 1;
-  options.crash_chance_permille = 1000;
+  options.faults.max_crashes = 1;
+  options.faults.crash_chance_permille = 1000;
   auto world = rma::SimWorld::create(options);
   lockspace::LockSpaceConfig config;
   config.backend = locks::Backend::kLeaseMcs;

@@ -446,7 +446,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
           topology, policy, smoke ? 2 : (quick ? 8 : 60),
           /*acquires=*/smoke ? 4 : 8, trace_dir, "opt:versioned", jobs);
       config.writer_fraction = 0.5;
-      config.max_tears = 2;
+      config.faults.max_tears = 2;
       const Timer timer;
       const auto report = mc::check_optimistic(config, factory, keys);
       std::printf("OPT-RW   P=4 K=2  %-7s %s\n", policy_name,
@@ -488,8 +488,8 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
           topology, policy, quick || smoke ? 150 : 400,
           /*acquires=*/10, trace_dir, "opt:skip-validation", jobs);
       config.writer_roles = roles;
-      config.max_tears = 6;
-      config.tear_chance_permille = 300;
+      config.faults.max_tears = 6;
+      config.faults.tear_chance_permille = 300;
       const auto report = mc::check_optimistic(config, factory, keys);
       std::printf("skip-validation (%-7s): %s\n", policy_name,
                   report.summary().c_str());
@@ -504,7 +504,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
           topology, rma::SchedPolicy::kRandom, quick || smoke ? 150 : 400,
           /*acquires=*/10, /*trace_dir=*/"", "opt:skip-validation", jobs);
       config.writer_roles = roles;
-      config.max_tears = 0;
+      config.faults.max_tears = 0;
       const auto report = mc::check_optimistic(config, factory, keys);
       std::printf("skip-validation (blind  ): %s\n", report.summary().c_str());
       if (report.ok()) {
@@ -534,8 +534,8 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
       mc::CheckConfig config = base_config(
           crash_topology, policy, smoke ? 4 : (quick ? 30 : 200),
           /*acquires=*/smoke ? 3 : 5, trace_dir, id, jobs);
-      config.max_crashes = 1;
-      config.crash_chance_permille = 100;
+      config.faults.max_crashes = 1;
+      config.faults.crash_chance_permille = 100;
       const Timer timer;
       const auto report = mc::check_lease(config, make_lease_factory(id));
       std::printf("%-10s P=4      %-7s %s\n",
@@ -554,9 +554,9 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
         crash_topology, rma::SchedPolicy::kRandom,
         smoke ? 4 : (quick ? 30 : 200), /*acquires=*/smoke ? 3 : 5, trace_dir,
         "lease:mcs", jobs);
-    config.max_crashes = 1;
-    config.crash_chance_permille = 100;
-    config.restart_crashed = true;
+    config.faults.max_crashes = 1;
+    config.faults.crash_chance_permille = 100;
+    config.faults.restart_crashed = true;
     const Timer timer;
     const auto report = mc::check_lease(config, make_lease_factory("lease:mcs"));
     std::printf("LEASE-MCS  P=4+rest random  %s\n", report.summary().c_str());
@@ -577,8 +577,8 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
     mc::CheckConfig config = base_config(
         crash_topology, policy, smoke ? 60 : (quick ? 150 : 400),
         /*acquires=*/smoke ? 3 : 5, trace_dir, "lease:mcs-nofence", jobs);
-    config.max_crashes = 1;
-    config.crash_chance_permille = 100;
+    config.faults.max_crashes = 1;
+    config.faults.crash_chance_permille = 100;
     const auto report =
         mc::check_lease(config, make_lease_factory("lease:mcs-nofence"));
     std::printf("no-fence lease (%-7s): %s\n", policy_name,
@@ -605,8 +605,8 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
       mc::CheckConfig config = base_config(
           crash_topology, policy, smoke ? 4 : (quick ? 30 : 150),
           /*acquires=*/4, trace_dir, id, jobs);
-      config.max_delays = 2;
-      config.max_partitions = 1;
+      config.faults.max_delays = 2;
+      config.faults.max_partitions = 1;
       const Timer timer;
       const auto report = mc::check_timeout(config, make_timeout_factory(id));
       std::printf("%-18s P=4 %-7s %s\n", id, policy_name,
@@ -634,7 +634,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
         quick ? 300 : 400, /*acquires=*/4, trace_dir,
         "timeout:no-backoff", jobs);
     config.retry.backoff = false;
-    config.max_delays = 2;
+    config.faults.max_delays = 2;
     const auto report =
         mc::check_timeout(config, make_timeout_factory("timeout:no-backoff"));
     std::printf("no-backoff retry (pct):   %s\n", report.summary().c_str());
@@ -725,7 +725,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
         drift_topology, rma::SchedPolicy::kVirtualTime,
         smoke ? 8 : (quick ? 60 : 300), /*acquires=*/3, trace_dir,
         "drift:fenced", jobs);
-    config.max_drift_events = 2;
+    config.faults.max_drift_events = 2;
     const Timer timer;
     const auto report = mc::check_drift(config, factory);
     std::printf("%-16s P=2 %-7s %s\n", "drift:fenced", "vtime",
@@ -755,7 +755,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
           drift_topology, rma::SchedPolicy::kVirtualTime,
           smoke ? 60 : (quick ? 150 : 400),
           /*acquires=*/3, trace_dir, "drift:margin0", jobs);
-      config.max_drift_events = 2;
+      config.faults.max_drift_events = 2;
       const auto report = mc::check_drift(config, factory);
       std::printf("zero-margin (%-7s): %s\n", "vtime",
                   report.summary().c_str());
@@ -778,7 +778,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
           drift_topology, rma::SchedPolicy::kVirtualTime,
           smoke ? 60 : (quick ? 150 : 400), /*acquires=*/3,
           /*trace_dir=*/"", "drift:margin0", jobs);
-      config.max_drift_events = 0;
+      config.faults.max_drift_events = 0;
       const auto report = mc::check_drift(config, factory);
       std::printf("zero-margin (blind  ): %s\n", report.summary().c_str());
       if (report.ok()) {
@@ -805,7 +805,7 @@ int run_randomized(bool quick, bool smoke, const std::string& trace_dir,
         drift_topology, rma::SchedPolicy::kVirtualTime,
         smoke ? 60 : (quick ? 150 : 400), /*acquires=*/3, trace_dir,
         "drift:skip-token-check", jobs);
-    config.max_drift_events = 2;
+    config.faults.max_drift_events = 2;
     const auto report = mc::check_drift(config, factory);
     std::printf("skip-token-check (vtime ): %s\n", report.summary().c_str());
     print_post_mortem(report);
@@ -978,7 +978,7 @@ int run_exhaustive(bool quick, bool smoke, const std::string& trace_dir,
       config.trace_dir = trace_dir;
       config.workload_id = id;
       config.jobs = jobs;
-      config.max_crashes = 1;
+      config.faults.max_crashes = 1;
       const Timer timer;
       const auto report = mc::check_lease_exhaustive(
           config, explore, make_lease_factory(id), /*iterative=*/true);
@@ -998,7 +998,7 @@ int run_exhaustive(bool quick, bool smoke, const std::string& trace_dir,
       config.trace_dir = trace_dir;
       config.workload_id = "lease:mcs-nofence";
       config.jobs = jobs;
-      config.max_crashes = 1;
+      config.faults.max_crashes = 1;
       const auto report = mc::check_lease_exhaustive(
           config, explore, make_lease_factory("lease:mcs-nofence"),
           /*iterative=*/true);
@@ -1037,7 +1037,7 @@ int run_exhaustive(bool quick, bool smoke, const std::string& trace_dir,
       config.workload_id = id;
       config.jobs = jobs;
       config.writer_roles = roles;
-      config.max_tears = 1;
+      config.faults.max_tears = 1;
       const bool planted = id == std::string("opt:skip-validation");
       const Timer timer;
       const auto report = mc::check_optimistic_exhaustive(
@@ -1134,12 +1134,12 @@ int run_exhaustive(bool quick, bool smoke, const std::string& trace_dir,
       config.trace_dir = trace_dir;
       config.workload_id = id;
       config.jobs = jobs;
-      config.max_drift_events = 2;
+      config.faults.max_drift_events = 2;
       const Timer timer;
       const auto report = mc::check_drift_exhaustive(config, explore, factory,
                                                      /*iterative=*/true);
-      std::printf("%-16s P=2 acq=2 e<=%d %s\n", id, config.max_drift_events,
-                  report.summary().c_str());
+      std::printf("%-16s P=2 acq=2 e<=%d %s\n", id,
+                  config.faults.max_drift_events, report.summary().c_str());
       if (planted) {
         const bool caught = report.mutex_violations > 0;
         if (!caught) std::printf("  ERROR: planted bug was NOT caught\n");
@@ -1226,21 +1226,7 @@ int run_replay(const std::string& path) {
   config.writer_fraction = repro.writer_fraction;
   config.writer_roles = repro.writer_roles;
   config.max_steps = repro.max_steps;
-  config.max_crashes = repro.max_crashes;
-  config.crash_chance_permille = repro.crash_chance_permille;
-  config.restart_crashed = repro.restart_crashed;
-  config.adversarial_suspicion = repro.adversarial_suspicion;
-  config.max_tears = repro.max_tears;
-  config.tear_chance_permille = repro.tear_chance_permille;
-  config.max_delays = repro.max_delays;
-  config.delay_chance_permille = repro.delay_chance_permille;
-  config.delay_factor = repro.delay_factor;
-  config.max_partitions = repro.max_partitions;
-  config.partition_span = repro.partition_span;
-  config.max_drift_events = repro.max_drift_events;
-  config.drift_chance_permille = repro.drift_chance_permille;
-  config.max_drift_permille = repro.max_drift_permille;
-  config.skew_window = repro.skew_window;
+  config.faults = repro.faults;
   // Virtual-time campaigns (drift) replay under kVirtualTime with the trace
   // consumed only at fault-decision points; everything else replays under
   // kReplay. replay_options() keys off this.

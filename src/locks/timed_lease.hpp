@@ -21,7 +21,7 @@
 // (mc::check_drift, bench/mc_verification.cpp):
 //
 //   * safety_margin_ns == 0 trusts the local clocks outright: safe under
-//     perfect clocks, violated under SimOptions::max_drift_events — a slow
+//     perfect clocks, violated under FaultConfig::max_drift_events — a slow
 //     holder and a fast claimant overlap inside the drift window.
 //   * Skipping the token check at the resource (LockSpaceConfig::
 //     skip_token_check) re-opens the hazard even with a correct margin,

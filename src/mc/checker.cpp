@@ -76,21 +76,7 @@ rma::SimOptions schedule_options(const CheckConfig& config, u64 schedule) {
   opts.pct_horizon = static_cast<u64>(config.topology.nprocs()) *
                      static_cast<u64>(config.acquires_per_proc) * 50;
   opts.max_steps = config.max_steps;
-  opts.max_crashes = config.max_crashes;
-  opts.crash_chance_permille = config.crash_chance_permille;
-  opts.restart_crashed = config.restart_crashed;
-  opts.adversarial_suspicion = config.adversarial_suspicion;
-  opts.max_tears = config.max_tears;
-  opts.tear_chance_permille = config.tear_chance_permille;
-  opts.max_delays = config.max_delays;
-  opts.delay_chance_permille = config.delay_chance_permille;
-  opts.delay_factor = config.delay_factor;
-  opts.max_partitions = config.max_partitions;
-  opts.partition_span = config.partition_span;
-  opts.max_drift_events = config.max_drift_events;
-  opts.drift_chance_permille = config.drift_chance_permille;
-  opts.max_drift_permille = config.max_drift_permille;
-  opts.skew_window = config.skew_window;
+  opts.faults = config.faults;
   opts.abort_on_deadlock = false;  // report, don't abort: we are the checker
   // Randomized campaigns do not record up front: the engine is
   // deterministic, so capture_first_failure re-records only the (rare)
@@ -628,21 +614,7 @@ void capture_first_failure(
     repro.writer_fraction = config.writer_fraction;
     repro.writer_roles = config.writer_roles;
     repro.max_steps = config.max_steps;
-    repro.max_crashes = config.max_crashes;
-    repro.crash_chance_permille = config.crash_chance_permille;
-    repro.restart_crashed = config.restart_crashed;
-    repro.adversarial_suspicion = config.adversarial_suspicion;
-    repro.max_tears = config.max_tears;
-    repro.tear_chance_permille = config.tear_chance_permille;
-    repro.max_delays = config.max_delays;
-    repro.delay_chance_permille = config.delay_chance_permille;
-    repro.delay_factor = config.delay_factor;
-    repro.max_partitions = config.max_partitions;
-    repro.partition_span = config.partition_span;
-    repro.max_drift_events = config.max_drift_events;
-    repro.drift_chance_permille = config.drift_chance_permille;
-    repro.max_drift_permille = config.max_drift_permille;
-    repro.skew_window = config.skew_window;
+    repro.faults = config.faults;
     repro.trace = failure.trace;
     const std::string name = failure_trace_path(config, failure.lock_name,
                                                 failure.kind, schedule_index);

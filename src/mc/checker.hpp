@@ -71,42 +71,10 @@ struct CheckConfig {
   /// Workload id stamped into written trace files; mc_verification
   /// --replay maps it back to a lock factory.
   std::string workload_id;
-  /// Crash injection (SimOptions::max_crashes etc., see rma/sim_world.hpp):
-  /// crash budget per schedule; 0 keeps every crash point a no-op and the
-  /// campaign identical to the pre-crash-model checker.
-  i32 max_crashes = 0;
-  /// Per-armed-crash-point crash probability under kRandom/kPct (permille).
-  u32 crash_chance_permille = 500;
-  /// Reboot crashed processes (they re-run the workload body from the top).
-  bool restart_crashed = false;
-  /// Failure detector may falsely suspect live processes — the adversarial
-  /// regime where only fencing (not accurate detection) protects safety.
-  bool adversarial_suspicion = false;
-  /// Torn-read injection (SimOptions::max_tears etc.): budget of multi-word
-  /// gets per schedule that may observe a partial concurrent write; 0 keeps
-  /// every get_vec atomic-at-an-instant and the campaign (and its traces)
-  /// identical to the pre-tear-model checker.
-  i32 max_tears = 0;
-  /// Per-armed-get_vec tear probability under kRandom/kPct (permille).
-  u32 tear_chance_permille = 500;
-  /// Gray-failure injection (SimOptions::max_delays / max_partitions etc.):
-  /// budgets of per-op straggler delays and transient target-unreachable
-  /// windows per schedule; 0 keeps the campaign identical to the
-  /// pre-gray-model checker.
-  i32 max_delays = 0;
-  u32 delay_chance_permille = 200;
-  i64 delay_factor = 16;
-  i32 max_partitions = 0;
-  Nanos partition_span = 50'000;
-  /// Clock-drift injection (SimOptions::max_drift_events etc.): budget of
-  /// per-process clock drift/skew events per schedule; 0 keeps every local
-  /// clock perfect and the campaign identical to the pre-drift-model
-  /// checker. The timed-lease workload (check_drift) is the consumer:
-  /// its safety rests exactly on the clock assumptions this model breaks.
-  i32 max_drift_events = 0;
-  u32 drift_chance_permille = 200;
-  u32 max_drift_permille = 200;
-  Nanos skew_window = 2'000;
+  /// Fault models armed in every schedule; all off by default. check_lease
+  /// exercises crashes, check_optimistic tears, check_timeout/check_rehome
+  /// the gray network, and check_drift the clocks.
+  rma::FaultConfig faults;
   /// Timed-acquire workloads (check_timeout / check_rehome): per-round
   /// deadline budget in virtual nanoseconds. Under the checker's
   /// zero-latency network only compute() — i.e. backoff — advances the
@@ -220,8 +188,9 @@ CheckReport check_exclusive(const CheckConfig& config,
 
 /// Explores `config.schedules` schedules of a crash/recovery workload over
 /// a lease lock: every process declares a crash point before each acquire
-/// and one inside each critical section (armed iff config.max_crashes > 0),
-/// so an owner can die holding the lease and survivors must reclaim it.
+/// and one inside each critical section (armed iff
+/// config.faults.max_crashes > 0), so an owner can die holding the lease
+/// and survivors must reclaim it.
 /// Checked properties: "never two owners in one epoch" (EpochMonitor,
 /// folded into mutex_violations) and recovery liveness — a survivor stuck
 /// forever on an unreclaimable lease surfaces as an engine deadlock.
@@ -248,7 +217,7 @@ CheckReport check_lockspace(const CheckConfig& config,
 /// snapshot consistency — every returned payload must be non-increasing
 /// along the word index (OptimisticReadMonitor; see mc/monitor.hpp for why
 /// that is exactly "no un-validated torn read"). Violations of either fold
-/// into mutex_violations. Arm config.max_tears, or the planted
+/// into mutex_violations. Arm config.faults.max_tears, or the planted
 /// skip_read_validation bug stays invisible — that false negative is itself
 /// a campaign mc_verification runs on purpose.
 CheckReport check_optimistic(const CheckConfig& config,
@@ -274,10 +243,10 @@ CheckReport check_timeout(const CheckConfig& config,
 /// through LockSpace::write_payload_fenced, and releases. Checked
 /// properties (WallClockLeaseMonitor, folded into mutex_violations):
 /// never two believing writers at once, and never an accepted write with a
-/// stale token; plus deadlock freedom. Arm config.max_drift_events, or the
-/// planted safety_margin_ns = 0 and skip_token_check bugs stay invisible —
-/// under perfect clocks a margin-0 lease is actually safe, the false
-/// negative the drift model exists to prevent.
+/// stale token; plus deadlock freedom. Arm config.faults.max_drift_events,
+/// or the planted safety_margin_ns = 0 and skip_token_check bugs stay
+/// invisible — under perfect clocks a margin-0 lease is actually safe, the
+/// false negative the drift model exists to prevent.
 CheckReport check_drift(const CheckConfig& config,
                         const DriftLeaseFactory& factory);
 

@@ -492,7 +492,7 @@ CheckReport check_drift_exhaustive(const CheckConfig& config,
                                    const DriftLeaseFactory& factory,
                                    bool iterative) {
   // Drift campaigns explore under kVirtualTime: the DFS hook is consulted
-  // only at drift-decision sites (decide_drift), so the enumerated space is
+  // only at fault-decision sites (SimWorld::decide), so the enumerated space is
   // every placement of the drift budget over one deterministic schedule —
   // the clock is the adversary, not the scheduler. Belief-overlap intervals
   // are only comparable on the virtual-time timeline; a preemptive DFS

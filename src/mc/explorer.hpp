@@ -96,11 +96,11 @@ CheckReport check_exclusive_exhaustive(const CheckConfig& config,
                                        const ExclusiveLockFactory& factory,
                                        bool iterative = false);
 /// Crash/recovery lease workload (see check_lease): with
-/// config.max_crashes > 0, every armed crash point is a scheduler decision
-/// the DFS branches on — crash-free interleavings AND every placement of
-/// up to max_crashes crashes are enumerated within the bounds. Crashing
-/// costs one preemption, so iterative deepening surfaces the no-crash
-/// space first.
+/// config.faults.max_crashes > 0, every armed crash point is a scheduler
+/// decision the DFS branches on — crash-free interleavings AND every
+/// placement of up to max_crashes crashes are enumerated within the bounds.
+/// Crashing costs one preemption, so iterative deepening surfaces the
+/// no-crash space first.
 CheckReport check_lease_exhaustive(const CheckConfig& config,
                                    const ExploreConfig& explore,
                                    const LeaseLockFactory& factory,
@@ -114,18 +114,18 @@ CheckReport check_lockspace_exhaustive(const CheckConfig& config,
                                        const std::vector<u64>& keys,
                                        bool iterative = false);
 /// Versioned optimistic-read workload (see check_optimistic): with
-/// config.max_tears > 0, every armed multi-word get is a scheduler decision
-/// the DFS branches on — the un-torn read AND every tear placement (each
-/// possible split point) are enumerated within the bounds. Tearing costs
-/// one preemption, so iterative deepening surfaces the atomic-snapshot
-/// space first.
+/// config.faults.max_tears > 0, every armed multi-word get is a scheduler
+/// decision the DFS branches on — the un-torn read AND every tear placement
+/// (each possible split point) are enumerated within the bounds. Tearing
+/// costs one preemption, so iterative deepening surfaces the
+/// atomic-snapshot space first.
 CheckReport check_optimistic_exhaustive(const CheckConfig& config,
                                         const ExploreConfig& explore,
                                         const LockSpaceFactory& factory,
                                         const std::vector<u64>& keys,
                                         bool iterative = false);
-/// Timed-acquire workload (see check_timeout): with config.max_delays /
-/// max_partitions > 0, every armed remote op is a scheduler decision the
+/// Timed-acquire workload (see check_timeout): with config.faults.max_delays
+/// / max_partitions > 0, every armed remote op is a scheduler decision the
 /// DFS branches on — the fault-free interleaving AND every placement of up
 /// to the budgeted delays/partitions are enumerated within the bounds.
 /// Each injected fault costs one preemption, so iterative deepening
@@ -136,7 +136,7 @@ CheckReport check_timeout_exhaustive(const CheckConfig& config,
                                      const ExclusiveLockFactory& factory,
                                      bool iterative = false);
 /// Wall-clock lease workload (see check_drift): with
-/// config.max_drift_events > 0, every armed remote op is a scheduler
+/// config.faults.max_drift_events > 0, every armed remote op is a scheduler
 /// decision the DFS branches on — the perfect-clocks interleaving AND
 /// every placement of up to the budgeted drift/skew events are enumerated
 /// within the bounds. Each event is a deterministic function of (rank,

@@ -55,11 +55,12 @@ bool fail(std::string* error, const std::string& message) {
 }  // namespace
 
 std::string serialize_trace(const TraceCase& c) {
-  const bool gray = c.max_delays != 0 || c.max_partitions != 0;
-  const bool drift = c.max_drift_events != 0;
+  const rma::FaultConfig& f = c.faults;
+  const bool gray = f.max_delays != 0 || f.max_partitions != 0;
+  const bool drift = f.max_drift_events != 0;
   std::ostringstream out;
   out << (drift ? kMagicV5
-                : (gray ? kMagicV4 : (c.max_tears != 0 ? kMagicV3 : kMagic)))
+                : (gray ? kMagicV4 : (f.max_tears != 0 ? kMagicV3 : kMagic)))
       << "\n";
   out << "workload " << c.workload << "\n";
   out << "lock " << c.lock_name << "\n";
@@ -86,23 +87,23 @@ std::string serialize_trace(const TraceCase& c) {
     out << "\n";
   }
   out << "max_steps " << c.max_steps << "\n";
-  if (c.max_crashes != 0) {
-    out << "crashes " << c.max_crashes << " " << c.crash_chance_permille << " "
-        << (c.restart_crashed ? 1 : 0) << " "
-        << (c.adversarial_suspicion ? 1 : 0) << "\n";
+  if (f.max_crashes != 0) {
+    out << "crashes " << f.max_crashes << " " << f.crash_chance_permille << " "
+        << (f.restart_crashed ? 1 : 0) << " "
+        << (f.adversarial_suspicion ? 1 : 0) << "\n";
   }
-  if (c.max_tears != 0) {
-    out << "tears " << c.max_tears << " " << c.tear_chance_permille << "\n";
+  if (f.max_tears != 0) {
+    out << "tears " << f.max_tears << " " << f.tear_chance_permille << "\n";
   }
   if (gray) {
-    out << "delays " << c.max_delays << " " << c.delay_chance_permille << " "
-        << c.delay_factor << "\n";
-    out << "partitions " << c.max_partitions << " " << c.partition_span
+    out << "delays " << f.max_delays << " " << f.delay_chance_permille << " "
+        << f.delay_factor << "\n";
+    out << "partitions " << f.max_partitions << " " << f.partition_span
         << "\n";
   }
   if (drift) {
-    out << "drift " << c.max_drift_events << " " << c.drift_chance_permille
-        << " " << c.max_drift_permille << " " << c.skew_window << "\n";
+    out << "drift " << f.max_drift_events << " " << f.drift_chance_permille
+        << " " << f.max_drift_permille << " " << f.skew_window << "\n";
   }
   out << "picks " << c.trace.picks.size() << "\n";
   for (usize i = 0; i < c.trace.picks.size(); ++i) {
@@ -121,6 +122,7 @@ bool parse_trace(const std::string& text, TraceCase* out, std::string* error) {
     return fail(error, "missing 'rmalock-trace v1/v2/v3/v4/v5' header");
   }
   *out = TraceCase{};
+  rma::FaultConfig& f = out->faults;
   while (std::getline(in, line)) {
     std::istringstream fields(line);
     std::string key;
@@ -174,28 +176,28 @@ bool parse_trace(const std::string& text, TraceCase* out, std::string* error) {
     } else if (key == "crashes") {
       i32 restart = 0;
       i32 adversarial = 0;
-      if (!(fields >> out->max_crashes >> out->crash_chance_permille >>
+      if (!(fields >> f.max_crashes >> f.crash_chance_permille >>
             restart >> adversarial)) {
         return fail(error, "bad crashes line: " + line);
       }
-      out->restart_crashed = restart != 0;
-      out->adversarial_suspicion = adversarial != 0;
+      f.restart_crashed = restart != 0;
+      f.adversarial_suspicion = adversarial != 0;
     } else if (key == "tears") {
-      if (!(fields >> out->max_tears >> out->tear_chance_permille)) {
+      if (!(fields >> f.max_tears >> f.tear_chance_permille)) {
         return fail(error, "bad tears line: " + line);
       }
     } else if (key == "delays") {
-      if (!(fields >> out->max_delays >> out->delay_chance_permille >>
-            out->delay_factor)) {
+      if (!(fields >> f.max_delays >> f.delay_chance_permille >>
+            f.delay_factor)) {
         return fail(error, "bad delays line: " + line);
       }
     } else if (key == "partitions") {
-      if (!(fields >> out->max_partitions >> out->partition_span)) {
+      if (!(fields >> f.max_partitions >> f.partition_span)) {
         return fail(error, "bad partitions line: " + line);
       }
     } else if (key == "drift") {
-      if (!(fields >> out->max_drift_events >> out->drift_chance_permille >>
-            out->max_drift_permille >> out->skew_window)) {
+      if (!(fields >> f.max_drift_events >> f.drift_chance_permille >>
+            f.max_drift_permille >> f.skew_window)) {
         return fail(error, "bad drift line: " + line);
       }
     } else if (key == "picks") {

@@ -12,11 +12,9 @@
 //     armed ("delays"/"partitions" lines then present), and "rmalock-trace
 //     v3" only when the torn-read fault model is armed (a "tears" line is
 //     then present); unarmed cases keep serializing byte-identically as v2,
-//     and v1 files (which predate the crash model) still parse. Crash decisions live in the same picks
-//     stream as scheduling decisions, encoded as -(rank + 2); torn-read
-//     decisions as -(P + 2 + k) for a tear after a k-word prefix;
-//     gray-failure decisions in disjoint ranges below the tear span (see
-//     rma::ScheduleTrace).
+//     and v1 files (which predate the crash model) still parse. Fault
+//     decisions live in the same picks stream as scheduling decisions,
+//     encoded by the fault table (rma::SimWorld::fault_pick).
 //   * shrink_trace() reduces a failing trace to a minimal counterexample
 //     with the classic delta-debugging loop (Zeller & Hildebrandt's ddmin):
 //     first the shortest failing prefix (violations are detected during
@@ -51,33 +49,10 @@ struct TraceCase {
   /// drawn from (world_seed, rank) with writer_fraction.
   std::vector<bool> writer_roles;
   u64 max_steps = 0;
-  /// Crash-injection knobs of the recorded run (SimOptions equivalents);
-  /// max_crashes == 0 means the run had no crash model and the trace is a
-  /// plain v1-compatible schedule.
-  i32 max_crashes = 0;
-  u32 crash_chance_permille = 500;
-  bool restart_crashed = false;
-  bool adversarial_suspicion = false;
-  /// Torn-read knobs of the recorded run (SimOptions equivalents);
-  /// max_tears == 0 means the torn-read fault model was off and the trace
-  /// serializes in the pre-tear (v2) format.
-  i32 max_tears = 0;
-  u32 tear_chance_permille = 500;
-  /// Gray-failure knobs of the recorded run (SimOptions equivalents);
-  /// max_delays == max_partitions == 0 means the gray model was off and the
-  /// trace serializes in the pre-gray (v3 or earlier) format.
-  i32 max_delays = 0;
-  u32 delay_chance_permille = 200;
-  i64 delay_factor = 16;
-  i32 max_partitions = 0;
-  Nanos partition_span = 50'000;
-  /// Clock-drift knobs of the recorded run (SimOptions equivalents);
-  /// max_drift_events == 0 means the clock model was off and the trace
-  /// serializes in the pre-drift (v4 or earlier) format.
-  i32 max_drift_events = 0;
-  u32 drift_chance_permille = 200;
-  u32 max_drift_permille = 200;
-  Nanos skew_window = 2'000;
+  /// Fault knobs of the recorded run. A model whose budget is 0 was off:
+  /// its line is omitted and the trace serializes in the format that
+  /// predates it.
+  rma::FaultConfig faults;
   rma::ScheduleTrace trace;
 };
 

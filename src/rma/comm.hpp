@@ -159,7 +159,7 @@ class RmaComm {
 
   /// Declared crash point: a place where the calling process volunteers to
   /// be killed. A runtime with crash injection armed (SimWorld with
-  /// SimOptions::max_crashes > 0) treats each call as an explorable binary
+  /// FaultConfig::max_crashes > 0) treats each call as an explorable binary
   /// decision — survive or fail-stop here — covered by record/replay and
   /// the exhaustive explorer like any scheduling decision. Runtimes without
   /// crash injection (ThreadWorld, or an unarmed SimWorld) ignore it
@@ -169,7 +169,7 @@ class RmaComm {
   /// Failure detector: true iff the runtime suspects `target` has crashed.
   /// The default (no failure model) never suspects anyone. SimWorld models
   /// either a perfect detector (suspected == crashed) or, under
-  /// SimOptions::adversarial_suspicion, one whose timeouts always fire —
+  /// FaultConfig::adversarial_suspicion, one whose timeouts always fire —
   /// recovery protocols must keep their safety property even when a live
   /// owner is falsely suspected.
   [[nodiscard]] virtual bool suspected(Rank target) {
@@ -190,7 +190,7 @@ class RmaComm {
 
   /// This process's *local wall clock* — what a time-based lease reads.
   /// Unlike now_ns() (the cost-model clock), this is subject to the clock
-  /// fault model: under SimWorld with SimOptions::max_drift_events armed it
+  /// fault model: under SimWorld with FaultConfig::max_drift_events armed it
   /// runs fast or slow (± max_drift_permille) and steps within ±
   /// skew_window, and may even move backward across a step. Disarmed (and
   /// on runtimes without a clock model) it equals perfect shared time.

@@ -20,6 +20,30 @@ bool trace_env_enabled() {
   static const bool enabled = std::getenv("RMALOCK_TRACE") != nullptr;
   return enabled;
 }
+
+/// The fault table: one row per FaultKind, in pick-encoding order. A row
+/// whose payload is a rank (the one the fault strikes) is P picks wide; the
+/// tear row's payload is the split, a range drawn by the stochastic policy
+/// even when it holds a single value.
+struct FaultRow {
+  bool rank_payload;  // width P; else kTearPickSpan + 1 (split payload)
+  i32 FaultConfig::*budget;
+  u32 FaultConfig::*chance;
+  obs::EventCode code;
+};
+constexpr std::array<FaultRow, kNumFaultKinds> kFaultTable{{
+    {true, &FaultConfig::max_crashes, &FaultConfig::crash_chance_permille,
+     obs::EventCode::kCrash},
+    {false, &FaultConfig::max_tears, &FaultConfig::tear_chance_permille,
+     obs::EventCode::kTear},
+    // Delay and partition are one decision with one shared chance.
+    {true, &FaultConfig::max_delays, &FaultConfig::delay_chance_permille,
+     obs::EventCode::kDelay},
+    {true, &FaultConfig::max_partitions, &FaultConfig::delay_chance_permille,
+     obs::EventCode::kPartition},
+    {true, &FaultConfig::max_drift_events,
+     &FaultConfig::drift_chance_permille, obs::EventCode::kDrift},
+}};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,6 +163,8 @@ SimWorld::SimWorld(SimOptions opts)
   windows_.resize(static_cast<usize>(p));
   nic_free_.assign(static_cast<usize>(p), 0);
   partition_until_.assign(static_cast<usize>(p), 0);
+  remote_faults_ = armed(FaultKind::kDrift) || armed(FaultKind::kDelay) ||
+                   armed(FaultKind::kPartition);
   // Distance classes are pure topology: precompute the P x P table once so
   // the per-op hot path is a byte load instead of a per-level division walk.
   dclass_.resize(static_cast<usize>(p) * static_cast<usize>(p));
@@ -327,12 +353,11 @@ void SimWorld::fiber_body(Rank rank) {
                         "exception escaped a SimWorld process body (rank "
                             << rank << ")");
     }
-    if (!crashed || !opts_.restart_crashed || stopping_) break;
+    if (!crashed || !opts_.faults.restart_crashed || stopping_) break;
     // Restart: stay visibly dead (crashed == true) until the scheduler
     // next picks this rank, so the downtime window is an ordinary
     // scheduling decision. Then reboot and re-run the body from the top.
     Proc& self = *procs_[static_cast<usize>(rank)];
-    self.clock += opts_.restart_delay_ns;
     try {
       yield_cpu(rank);
     } catch (const StopRun&) {
@@ -508,7 +533,7 @@ void SimWorld::handle_no_runnable() {
       // its own loop, which no window write will ever trigger. Without
       // crashes the plain force-wake (re-poll, re-park) is kept so stall
       // detection stays cheap and decision sequences stay bit-compatible.
-      proc.woken_by_write = result_.crashes > 0;
+      proc.woken_by_write = result_.injected[FaultKind::kCrash] > 0;
       make_runnable(proc, r);
       woke_any = true;
     }
@@ -908,27 +933,7 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
   }
 
   for (;;) {
-    // Drift model: with the clock budget armed, every remote op is an
-    // explorable decision to re-anchor the caller's local clock map before
-    // the op — mirroring the armed gray structure below. Unarmed (or budget
-    // spent) ops make no decision and add no trace entry, keeping
-    // pre-drift-model traces bit-compatible.
-    if (dclass != 0 && drift_armed()) {
-      bump_step(origin);
-      decide_drift(origin);
-    }
-    // Gray model: with a fault budget armed, every remote op is an
-    // explorable fault decision (straggler delay / transient partition)
-    // before the op itself — mirroring the armed-get_vec tear structure.
-    // Unarmed (or budget spent) ops make no decision and add no trace
-    // entry, keeping pre-gray-model traces bit-compatible.
-    Nanos cost = opts_.latency.op_cost(kind, dclass);
-    if (dclass != 0 && gray_armed()) {
-      bump_step(origin);
-      if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-        cost *= opts_.delay_factor;
-      }
-    }
+    const Nanos cost = remote_op_faults(origin, target, kind, dclass);
     bump_step(origin);
     self.stats.record(kind, dclass);
     RMALOCK_DCHECK(offset >= 0 &&
@@ -938,9 +943,7 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
     // Cost accounting: a blocking op charges full end-to-end latency at the
     // op; a nonblocking op charges the origin only its injection slot here
     // and defers the rest to flush. Remote ops of either mode queue in the
-    // target's NIC (contention model). A partitioned target additionally
-    // stalls arrivals until its window closes (partition_until_ is all-zero
-    // when the gray model is unarmed, making the max a no-op).
+    // target's NIC (contention model), behind any partition (book_nic).
     Nanos completion;  // when the op takes effect at the target
     if (dclass == 0) {
       // Self access: no pipelining win to model; both modes charge the op.
@@ -951,24 +954,13 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
       // The request departs now; the origin's NIC stays busy for one
       // injection slot (that slot overlaps the wire time — it is what
       // serializes a burst of issues, not what delays each request).
-      const Nanos arrival =
-          std::max(self.clock + cost / 2,
-                   partition_until_[static_cast<usize>(target)]);
+      const Nanos arrival = self.clock + cost / 2;
       self.clock += occupancy;
-      const Nanos start =
-          std::max(arrival, nic_free_[static_cast<usize>(target)]);
-      nic_free_[static_cast<usize>(target)] = start + occupancy;
-      completion = start + occupancy;
+      completion = book_nic(target, arrival, occupancy);
       note_pending_ack(self, target, completion + (cost - cost / 2));
     } else {
-      const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-      const Nanos arrival =
-          std::max(self.clock + cost / 2,
-                   partition_until_[static_cast<usize>(target)]);
-      const Nanos start =
-          std::max(arrival, nic_free_[static_cast<usize>(target)]);
-      nic_free_[static_cast<usize>(target)] = start + occupancy;
-      completion = start + occupancy;
+      completion = book_nic(target, self.clock + cost / 2,
+                            opts_.latency.occupancy(kind, dclass));
       self.clock = completion + (cost - cost / 2);
     }
 
@@ -999,48 +991,6 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
   }
 }
 
-usize SimWorld::decide_tear(Rank origin, usize n) {
-  usize split = 0;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      for (usize k = 1; k < n; ++k) {
-        if (pick == tear_pick(k)) {
-          split = k;
-          break;
-        }
-      }
-      // A pick naming neither outcome (shrunk/edited trace) falls back to
-      // the atomic read, counted like any other divergence.
-      if (split == 0 && pick != origin) ++result_.replay_divergences;
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call:
-      // tear_pick(n-1) < ... < tear_pick(1) < origin. The caller's own rank
-      // is the atomic-read choice, so every tear placement costs the
-      // explorer one preemption — tear-free schedules are explored first.
-      std::vector<Rank> candidates;
-      candidates.reserve(n);
-      for (usize k = n - 1; k >= 1; --k) candidates.push_back(tear_pick(k));
-      candidates.push_back(origin);
-      const Rank pick = opts_.pick_hook(candidates);
-      for (usize k = 1; k < n; ++k) {
-        if (pick == tear_pick(k)) {
-          split = k;
-          break;
-        }
-      }
-    }
-  } else {
-    if (sched_rng_.below(1000) < opts_.tear_chance_permille) {
-      split = 1 + static_cast<usize>(sched_rng_.below(n - 1));
-    }
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(split == 0 ? origin : tear_pick(split));
-  }
-  return split;
-}
-
 void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
                                i64* out, usize n) {
   check_stop(origin);
@@ -1059,33 +1009,24 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
                      windows_[static_cast<usize>(target)].size());
   const i32 dclass = dclass_of(origin, target);
 
-  // Drift then gray fault decisions first, mirroring execute_op's armed
-  // remote path.
-  if (dclass != 0 && drift_armed()) {
-    bump_step(origin);
-    decide_drift(origin);
-  }
-  Nanos cost = opts_.latency.op_cost(OpKind::kGet, dclass);
-  if (dclass != 0 && gray_armed()) {
-    bump_step(origin);
-    if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-      cost *= opts_.delay_factor;
-    }
-  }
-
+  const Nanos cost = remote_op_faults(origin, target, OpKind::kGet, dclass);
   usize split = 0;
-  if (opts_.max_tears > 0 &&
-      result_.tears < static_cast<u64>(opts_.max_tears)) {
-    // Armed: the tear/no-tear choice is an explorable decision like a crash
-    // point. Unarmed (or budget spent) get_vec makes no decision and adds
-    // no trace entry, keeping pre-tear-model traces bit-compatible. The
-    // reserved tear-pick span bounds the payload size so tear picks can
-    // never collide with the gray-failure picks below them.
+  if (armed(FaultKind::kTear)) {
+    // The tear row is kTearPickSpan + 1 picks wide: a wider split would
+    // collide with the delay picks below it.
     RMALOCK_CHECK_MSG(n - 1 <= static_cast<usize>(kTearPickSpan),
                       "get_vec of " << n << " words exceeds the tear-pick "
                       "span (" << kTearPickSpan << ") with tears armed");
     bump_step(origin);
-    split = decide_tear(origin, n);
+    // Splits k = n-1 .. 1, in ascending pick order.
+    fault_picks_.clear();
+    for (usize k = n - 1; k >= 1; --k) {
+      fault_picks_.push_back(pick(FaultKind::kTear, static_cast<Rank>(k)));
+    }
+    const Rank chosen = decide(FaultKind::kTear, origin);
+    if (chosen != origin) {
+      split = static_cast<usize>(pick(FaultKind::kTear, 0) - chosen);
+    }
   }
 
   bump_step(origin);
@@ -1096,14 +1037,9 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   if (dclass == 0) {
     self.clock += cost;
   } else {
-    const Nanos occupancy = opts_.latency.occupancy(OpKind::kGet, dclass);
-    const Nanos arrival =
-        std::max(self.clock + cost / 2,
-                 partition_until_[static_cast<usize>(target)]);
-    const Nanos start =
-        std::max(arrival, nic_free_[static_cast<usize>(target)]);
-    nic_free_[static_cast<usize>(target)] = start + occupancy;
-    self.clock = start + occupancy + (cost - cost / 2);
+    self.clock = book_nic(target, self.clock + cost / 2,
+                          opts_.latency.occupancy(OpKind::kGet, dclass)) +
+                 (cost - cost / 2);
   }
 
   // A vectored read is not a spin primitive (validated-read protocols retry
@@ -1115,9 +1051,8 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
     out[i] = win[static_cast<usize>(offset) + i];
   }
   if (split != 0) {
-    ++result_.tears;
-    trace_event(origin, obs::EventCode::kTear, target,
-                static_cast<i64>(split), static_cast<i64>(n));
+    note_fault(FaultKind::kTear, origin, target, static_cast<i64>(split),
+               static_cast<i64>(n));
     // The torn window: hand the cpu back so concurrent writers can run
     // between the two halves, then read the suffix from the (possibly
     // updated) window.
@@ -1127,135 +1062,6 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
     }
   }
   yield_cpu(origin);
-}
-
-SimWorld::GrayOutcome SimWorld::decide_gray(Rank origin, Rank target) {
-  const bool delay_ok =
-      opts_.max_delays > 0 && result_.delays < static_cast<u64>(opts_.max_delays);
-  const bool part_ok = opts_.max_partitions > 0 &&
-                       result_.partitions <
-                           static_cast<u64>(opts_.max_partitions);
-  GrayOutcome outcome = GrayOutcome::kNone;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      if (delay_ok && pick == delay_pick(origin)) {
-        outcome = GrayOutcome::kDelay;
-      } else if (part_ok && pick == part_pick(target)) {
-        outcome = GrayOutcome::kPartition;
-      } else if (pick != origin) {
-        // A pick naming neither outcome (shrunk/edited trace) falls back to
-        // the fault-free completion, counted like any other divergence.
-        ++result_.replay_divergences;
-      }
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call:
-      // part_pick(target) < delay_pick(origin) < origin. The caller's own
-      // rank is the fault-free choice, so every injected fault costs the
-      // explorer one preemption — fault-free schedules are explored first.
-      std::vector<Rank> candidates;
-      candidates.reserve(3);
-      if (part_ok) candidates.push_back(part_pick(target));
-      if (delay_ok) candidates.push_back(delay_pick(origin));
-      candidates.push_back(origin);
-      const Rank pick = opts_.pick_hook(candidates);
-      if (delay_ok && pick == delay_pick(origin)) {
-        outcome = GrayOutcome::kDelay;
-      } else if (part_ok && pick == part_pick(target)) {
-        outcome = GrayOutcome::kPartition;
-      }
-    }
-  } else {
-    // Stochastic policies share one fault draw (delay_chance_permille);
-    // when both budgets remain a second draw picks which fault fires.
-    if (sched_rng_.below(1000) < opts_.delay_chance_permille) {
-      if (delay_ok && part_ok) {
-        outcome = sched_rng_.below(2) == 0 ? GrayOutcome::kDelay
-                                           : GrayOutcome::kPartition;
-      } else {
-        outcome = delay_ok ? GrayOutcome::kDelay : GrayOutcome::kPartition;
-      }
-    }
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(outcome == GrayOutcome::kDelay
-                                         ? delay_pick(origin)
-                                     : outcome == GrayOutcome::kPartition
-                                         ? part_pick(target)
-                                         : origin);
-  }
-  if (outcome == GrayOutcome::kDelay) {
-    ++result_.delays;
-    trace_event(origin, obs::EventCode::kDelay, target, opts_.delay_factor);
-  } else if (outcome == GrayOutcome::kPartition) {
-    ++result_.partitions;
-    Nanos& until = partition_until_[static_cast<usize>(target)];
-    until = std::max(until, procs_[static_cast<usize>(origin)]->clock +
-                                opts_.partition_span);
-    trace_event(origin, obs::EventCode::kPartition, target, until);
-  }
-  return outcome;
-}
-
-bool SimWorld::decide_drift(Rank origin) {
-  bool drift;
-  // The replay cursor is honored regardless of scheduling policy:
-  // virtual-time campaigns record ONLY fault-decision picks (the schedule
-  // itself is deterministic), so their traces replay under kVirtualTime
-  // with the picks consumed right here at the decision sites.
-  if (opts_.replay != nullptr) {
-    if (replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      drift = pick == drift_pick(origin);
-      // A pick naming neither outcome (shrunk/edited trace) falls back to
-      // the no-drift completion, counted like any other divergence.
-      if (!drift && pick != origin) ++result_.replay_divergences;
-    } else {
-      drift = false;  // exhausted (shrunk) trace: no-drift completion
-    }
-  } else if (opts_.pick_hook) {
-    // Candidates sorted ascending like every hook call; the caller's own
-    // rank is the no-drift choice. Consulted under ANY policy — the
-    // exhaustive drift explorer runs kVirtualTime scheduling and drives
-    // only these fault-decision sites, so its DFS enumerates drift
-    // placements over one deterministic schedule.
-    const std::vector<Rank> candidates{drift_pick(origin), origin};
-    drift = opts_.pick_hook(candidates) == drift_pick(origin);
-  } else if (opts_.policy == SchedPolicy::kReplay) {
-    drift = false;  // deterministic fallback, like smallest-rank picks
-  } else {
-    drift = sched_rng_.below(1000) < opts_.drift_chance_permille;
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(drift ? drift_pick(origin) : origin);
-  }
-  if (drift) apply_drift(origin);
-  return drift;
-}
-
-void SimWorld::apply_drift(Rank origin) {
-  Proc& self = *procs_[static_cast<usize>(origin)];
-  // Deterministic worst-case event — no rng draws, so a replayed pick
-  // stream reproduces the exact clock trajectory. The sign alternates per
-  // event and starts opposite on adjacent ranks, so one event on each of
-  // two ranks already produces the dangerous fast-claimant/slow-holder
-  // split; the explorer controls which ranks drift and how often, covering
-  // the other assignments.
-  const i32 sign =
-      ((static_cast<u32>(origin) + self.drift_events) % 2 == 0) ? 1 : -1;
-  const Nanos skew = sign * opts_.skew_window;
-  // Re-anchor at the origin's own current instant: the new local clock
-  // continues from the old reading stepped by the skew change (an NTP-style
-  // step, clamped to ± skew_window by construction), then advances at the
-  // extreme rate.
-  self.drift_anchor_local = local_now(origin) + (skew - self.drift_skew);
-  self.drift_anchor_wall = self.clock;
-  self.drift_skew = skew;
-  self.drift_rate_permille =
-      sign * static_cast<i32>(opts_.max_drift_permille);
-  ++self.drift_events;
-  ++result_.drift_events;
-  trace_event(origin, obs::EventCode::kDrift, self.drift_rate_permille, skew);
 }
 
 TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
@@ -1268,19 +1074,7 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
                  static_cast<usize>(offset) <
                      windows_[static_cast<usize>(target)].size());
   const i32 dclass = dclass_of(origin, target);
-
-  if (dclass != 0 && drift_armed()) {
-    bump_step(origin);
-    decide_drift(origin);
-  }
-  Nanos cost = opts_.latency.op_cost(kind, dclass);
-  if (dclass != 0 && gray_armed()) {
-    bump_step(origin);
-    if (decide_gray(origin, target) == GrayOutcome::kDelay) {
-      cost *= opts_.delay_factor;
-    }
-  }
-
+  const Nanos cost = remote_op_faults(origin, target, kind, dclass);
   bump_step(origin);
   self.stats.record(kind, dclass);
   // A single deadline-bounded attempt is not a spin primitive: it never
@@ -1305,11 +1099,8 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
       yield_cpu(origin);
       return TryResult{TryStatus::kTimeout, 0};
     }
-    const Nanos occupancy = opts_.latency.occupancy(kind, dclass);
-    const Nanos start = std::max(std::max(arrival, until),
-                                 nic_free_[static_cast<usize>(target)]);
-    nic_free_[static_cast<usize>(target)] = start + occupancy;
-    completion = start + occupancy;
+    completion =
+        book_nic(target, arrival, opts_.latency.occupancy(kind, dclass));
     // A slow-but-delivered attempt (straggler) completes late rather than
     // failing: the caller re-checks now_ns() against its deadline.
     self.clock = completion + (cost - cost / 2);
@@ -1336,62 +1127,144 @@ void SimWorld::execute_compute(Rank origin, Nanos ns) {
 }
 
 // ---------------------------------------------------------------------------
+// Fault decisions
+// ---------------------------------------------------------------------------
+
+Rank SimWorld::fault_pick(FaultKind kind, Rank i, i32 nprocs) {
+  Rank base = 2;  // clear of kNilRank (-1)
+  for (usize k = 0; k < static_cast<usize>(kind); ++k) {
+    base += kFaultTable[k].rank_payload ? nprocs : kTearPickSpan + 1;
+  }
+  return -(base + i);
+}
+
+bool SimWorld::armed(FaultKind kind) const {
+  const i32 budget =
+      opts_.faults.*kFaultTable[static_cast<usize>(kind)].budget;
+  return budget > 0 && result_.injected[kind] < static_cast<u64>(budget);
+}
+
+Rank SimWorld::decide(FaultKind kind, Rank origin) {
+  std::vector<Rank>& candidates = fault_picks_;
+  candidates.push_back(origin);
+  Rank chosen = origin;
+  if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
+    chosen = opts_.replay->picks[replay_pos_++];
+  } else if (opts_.pick_hook) {
+    chosen = opts_.pick_hook(candidates);
+  } else if (opts_.replay == nullptr &&
+             opts_.policy != SchedPolicy::kReplay) {
+    // Stochastic draw: the decision fires with the kind's chance; a second
+    // draw d then picks the d-th fault counting down from the fault-free
+    // end (d = 0: the delay before the partition; tear prefix k = d + 1).
+    // Only a split payload is drawn when it has a single value.
+    const FaultRow& row = kFaultTable[static_cast<usize>(kind)];
+    if (sched_rng_.below(1000) < opts_.faults.*row.chance) {
+      const usize faults = candidates.size() - 1;
+      chosen = faults > 1 || !row.rank_payload
+                   ? candidates[faults - 1 - sched_rng_.below(faults)]
+                   : candidates[0];
+    }
+  }
+  if (chosen != origin &&
+      std::find(candidates.begin(), candidates.end(), chosen) ==
+          candidates.end()) {
+    // A pick naming no candidate (shrunk/edited trace, misbehaving hook)
+    // falls back to the fault-free outcome, counted like any divergence.
+    ++result_.replay_divergences;
+    chosen = origin;
+  }
+  if (opts_.record_schedule) result_.schedule.picks.push_back(chosen);
+  return chosen;
+}
+
+void SimWorld::note_fault(FaultKind kind, Rank origin, i64 a, i64 b, i64 c) {
+  ++result_.injected[kind];
+  trace_event(origin, kFaultTable[static_cast<usize>(kind)].code, a, b, c);
+}
+
+Nanos SimWorld::decide_remote_faults(Rank origin, Rank target, Nanos cost) {
+  if (armed(FaultKind::kDrift)) {
+    bump_step(origin);
+    fault_picks_.assign({pick(FaultKind::kDrift, origin)});
+    if (decide(FaultKind::kDrift, origin) != origin) apply_drift(origin);
+  }
+  const bool delay_ok = armed(FaultKind::kDelay);
+  const bool part_ok = armed(FaultKind::kPartition);
+  if (delay_ok || part_ok) {
+    bump_step(origin);
+    const Rank delay = pick(FaultKind::kDelay, origin);
+    const Rank part = pick(FaultKind::kPartition, target);
+    fault_picks_.clear();
+    if (part_ok) fault_picks_.push_back(part);
+    if (delay_ok) fault_picks_.push_back(delay);
+    const Rank chosen = decide(FaultKind::kDelay, origin);
+    if (chosen == delay) {
+      cost *= opts_.faults.delay_factor;
+      note_fault(FaultKind::kDelay, origin, target, opts_.faults.delay_factor);
+    } else if (chosen == part) {
+      Nanos& until = partition_until_[static_cast<usize>(target)];
+      until = std::max(until, procs_[static_cast<usize>(origin)]->clock +
+                                  opts_.faults.partition_span);
+      note_fault(FaultKind::kPartition, origin, target, until);
+    }
+  }
+  return cost;
+}
+
+void SimWorld::apply_drift(Rank origin) {
+  Proc& self = *procs_[static_cast<usize>(origin)];
+  // Deterministic worst-case event — no rng draws, so a replayed pick
+  // stream reproduces the exact clock trajectory. The sign alternates per
+  // event and starts opposite on adjacent ranks, so one event on each of
+  // two ranks already produces the dangerous fast-claimant/slow-holder
+  // split; the explorer controls which ranks drift and how often, covering
+  // the other assignments.
+  const i32 sign =
+      ((static_cast<u32>(origin) + self.drift_events) % 2 == 0) ? 1 : -1;
+  const Nanos skew = sign * opts_.faults.skew_window;
+  // Re-anchor at the origin's own current instant: the new local clock
+  // continues from the old reading stepped by the skew change (an NTP-style
+  // step, clamped to ± skew_window by construction), then advances at the
+  // extreme rate.
+  self.drift_anchor_local = local_now(origin) + (skew - self.drift_skew);
+  self.drift_anchor_wall = self.clock;
+  self.drift_skew = skew;
+  self.drift_rate_permille =
+      sign * static_cast<i32>(opts_.faults.max_drift_permille);
+  ++self.drift_events;
+  note_fault(FaultKind::kDrift, origin, self.drift_rate_permille, skew);
+}
+
+// ---------------------------------------------------------------------------
 // Crash injection
 // ---------------------------------------------------------------------------
 
 bool SimWorld::proc_suspected(Rank origin, Rank target) const {
   const Proc& proc = *procs_[static_cast<usize>(target)];
-  return proc.crashed || (opts_.adversarial_suspicion && target != origin);
-}
-
-bool SimWorld::decide_crash(Rank origin) {
-  bool crash;
-  if (opts_.policy == SchedPolicy::kReplay) {
-    if (opts_.replay != nullptr && replay_pos_ < opts_.replay->picks.size()) {
-      const Rank pick = opts_.replay->picks[replay_pos_++];
-      crash = pick == crash_pick(origin);
-      // A pick that names neither outcome (shrunk/edited trace) falls back
-      // to surviving, counted like any other divergence.
-      if (!crash && pick != origin) ++result_.replay_divergences;
-    } else if (opts_.pick_hook) {
-      // Candidates sorted ascending like every hook call; the caller's own
-      // rank is the "keep running" choice, so a crash costs the explorer
-      // one preemption — no-crash schedules are explored first.
-      const std::vector<Rank> candidates{crash_pick(origin), origin};
-      crash = opts_.pick_hook(candidates) == crash_pick(origin);
-    } else {
-      crash = false;  // deterministic fallback, like smallest-rank picks
-    }
-  } else {
-    crash = sched_rng_.below(1000) < opts_.crash_chance_permille;
-  }
-  if (opts_.record_schedule) {
-    result_.schedule.picks.push_back(crash ? crash_pick(origin) : origin);
-  }
-  return crash;
+  return proc.crashed ||
+         (opts_.faults.adversarial_suspicion && target != origin);
 }
 
 void SimWorld::execute_crash_point(Rank origin) {
   check_stop(origin);
-  if (opts_.max_crashes <= 0 ||
-      result_.crashes >= static_cast<u64>(opts_.max_crashes)) {
+  if (!armed(FaultKind::kCrash)) {
     // Unarmed (or budget spent): a complete no-op — no step, no decision,
     // no trace entry — so bodies may declare crash points unconditionally
     // without perturbing crash-free runs or pre-crash-model traces.
     return;
   }
   bump_step(origin);
-  if (!decide_crash(origin)) return;
+  fault_picks_.assign({pick(FaultKind::kCrash, origin)});
+  if (decide(FaultKind::kCrash, origin) == origin) return;
   Proc& self = *procs_[static_cast<usize>(origin)];
-  ++result_.crashes;
   self.crashed = true;
   // Fail-stop with surviving window memory (the NIC keeps serving the dead
   // host's registered memory): issued effects stay applied, only the
   // process state dies with the fiber.
   clear_polls(self);
   self.pending_acks.clear();
-  trace_event(origin, obs::EventCode::kCrash,
-              static_cast<i64>(self.incarnation));
+  note_fault(FaultKind::kCrash, origin, static_cast<i64>(self.incarnation));
   wake_all_parked_on_crash(origin);
   throw ProcCrashed{};
 }

@@ -84,6 +84,98 @@ enum class SchedPolicy : u8 {
 /// explorer enumerates interleavings.
 using PickHook = std::function<Rank(const std::vector<Rank>& candidates)>;
 
+/// The fault-model knobs, declared once: SimOptions, mc::CheckConfig, and
+/// mc::TraceCase each embed one as `faults`. Every model is off (budget 0)
+/// by default, and then costs no engine step, pick, or rng draw. Armed,
+/// each fault site is one decision (SimWorld::decide) in the shared pick
+/// stream (see ScheduleTrace), so record/replay, ddmin, and the exhaustive
+/// explorer cover every fault placement.
+struct FaultConfig {
+  // --- crash injection -----------------------------------------------------
+  // Failure model: fail-stop crashes at *declared* crash points
+  // (RmaComm::crash_point()), window memory surviving the owner process —
+  // the RDMA model where the NIC keeps serving remote reads of a dead
+  // host's registered memory.
+
+  /// Maximum number of crash events the run may inject (the budget the
+  /// exhaustive explorer bounds, like its preemption bound).
+  i32 max_crashes = 0;
+  /// Chance (permille) of crashing at an armed crash point.
+  u32 crash_chance_permille = 500;
+  /// Restart crashed processes: a crashed process re-enters the scheduler
+  /// and, when next picked, reboots and re-runs the body from the top as a
+  /// fresh incarnation — so restart *timing* is an ordinary scheduling
+  /// decision that record/replay and the explorer cover for free. When
+  /// false, crashes are permanent (fail-stop). Restarting bodies must not
+  /// contain barriers: the barrier accounting cannot tell a reborn
+  /// first-barrier arrival from a later one.
+  bool restart_crashed = false;
+  /// Failure detector model for RmaComm::suspected(): false = perfect
+  /// (suspected iff crashed); true = adversarial (every other rank is
+  /// always suspected — the timeout that always fires). Lease fencing must
+  /// keep its epoch-safety property even under the adversarial detector.
+  bool adversarial_suspicion = false;
+
+  // --- torn multi-word reads ----------------------------------------------
+  // Fault model for RmaComm::get_vec: on real RMA hardware a multi-word
+  // read is atomic per word only, so concurrent writers may interleave
+  // between the words. Armed, every multi-word get_vec decides: read all n
+  // words atomically, or read a prefix of k words (1 <= k < n), yield the
+  // cpu (a real scheduling point where writers can run), then read the
+  // rest — the observed vector can mix pre- and post-write state.
+
+  /// Maximum number of torn reads the run may inject (budget).
+  i32 max_tears = 0;
+  /// Chance (permille) of tearing an armed multi-word get_vec.
+  u32 tear_chance_permille = 500;
+
+  // --- gray-failure network ------------------------------------------------
+  // Fault model for the *common* production failure the paper's healthy
+  // interconnect assumes away: stragglers (an op that completes, just much
+  // later) and transient partitions (a target unreachable for a window, then
+  // fine). With either budget armed, every remote op decides: complete
+  // normally, inject a straggler delay (the op's completion charge is
+  // multiplied by delay_factor), or open a partition of the target (remote
+  // ops against it stall until the window closes; try_* ops fail fast
+  // instead).
+
+  /// Maximum number of straggler delays the run may inject (budget).
+  i32 max_delays = 0;
+  /// Chance (permille) of injecting a fault at an armed remote op; shared
+  /// by the delay and partition outcomes (one draw, then a second one
+  /// picks which fault fires when both budgets remain).
+  u32 delay_chance_permille = 200;
+  /// Straggler multiplier: a delayed op's completion charge is multiplied
+  /// by this factor (congested-link model).
+  i64 delay_factor = 16;
+  /// Maximum number of transient partitions the run may open (budget).
+  i32 max_partitions = 0;
+  /// Virtual duration of one transient partition: remote ops against the
+  /// partitioned target stall until `origin clock + partition_span`.
+  Nanos partition_span = 50'000;
+
+  // --- clock skew / drift --------------------------------------------------
+  // Fault model for the synchronized-clock assumption every time-based
+  // lease leans on: per-process local clocks (RmaComm::local_now_ns) that
+  // run fast or slow relative to true time and step within a bounded skew
+  // window — the NTP reality the paper's model ignores. Disarmed,
+  // local_now_ns is the shared wall clock (perfect synchronization). Armed,
+  // every remote op decides: keep the caller's clock map, or re-anchor it
+  // to an extreme rate (± max_drift_permille) and skew step (±
+  // skew_window).
+
+  /// Maximum number of drift events the run may inject (budget).
+  i32 max_drift_events = 0;
+  /// Chance (permille) of drifting at an armed remote op.
+  u32 drift_chance_permille = 200;
+  /// Worst-case clock rate error (permille): a drifted clock advances at
+  /// (1000 ± this)/1000 of true time.
+  u32 max_drift_permille = 200;
+  /// Bound on the absolute skew offset a local clock can step to (the NTP
+  /// step clamp). A drift event sets the caller's skew to ± this.
+  Nanos skew_window = 2'000;
+};
+
 struct SimOptions {
   topo::Topology topology;
   /// Network model; defaulted to LatencyModel::xc30(topology levels).
@@ -104,133 +196,24 @@ struct SimOptions {
   /// Abort the process on deadlock (benchmarks want loud failure); when
   /// false the deadlock is reported in RunResult (model checking).
   bool abort_on_deadlock = true;
-  /// Record every scheduler decision into RunResult::schedule. Only list
-  /// policies (kRandom/kPct/kReplay) have decisions to record; kVirtualTime
-  /// is deterministic by construction and records nothing.
+  /// Record every decision into RunResult::schedule. kVirtualTime
+  /// scheduling is deterministic by construction, so under it only fault
+  /// decisions are recorded.
   bool record_schedule = false;
-  /// kReplay: the decisions to re-execute (typically a RunResult::schedule
-  /// from a recorded run). Not owned; must outlive run(). Decisions beyond
-  /// the trace fall through to pick_hook, then to the deterministic
-  /// smallest-rank policy.
+  /// The decisions to re-execute (typically a RunResult::schedule from a
+  /// recorded run): scheduling picks under kReplay, fault picks under any
+  /// policy (SimWorld::decide). Not owned; must outlive run(). Decisions
+  /// beyond the trace fall through to pick_hook, then to the deterministic
+  /// smallest-rank (or fault-free) choice.
   const ScheduleTrace* replay = nullptr;
-  /// kReplay: decision hook consulted after `replay` is exhausted (see
-  /// PickHook). Used by the exhaustive explorer.
+  /// Decision hook consulted after `replay` is exhausted (see PickHook):
+  /// for scheduling under kReplay, for fault decisions under any policy.
+  /// Used by the exhaustive explorer.
   PickHook pick_hook;
   /// Stack bytes per simulated process.
   usize fiber_stack_bytes = 256 * 1024;
 
-  // --- crash injection -----------------------------------------------------
-  // Failure model: fail-stop crashes at *declared* crash points
-  // (RmaComm::crash_point()), window memory surviving the owner process —
-  // the RDMA model where the NIC keeps serving remote reads of a dead
-  // host's registered memory. 0 disables the machinery completely:
-  // crash_point() is then free and recorded traces stay bit-compatible
-  // with the pre-crash-model format.
-
-  /// Maximum number of crash events the run may inject (the budget the
-  /// exhaustive explorer bounds, like its preemption bound).
-  i32 max_crashes = 0;
-  /// Chance (permille) of crashing at an armed crash point under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 crash_chance_permille = 500;
-  /// Restart crashed processes: a crashed process re-enters the scheduler
-  /// and, when next picked, reboots and re-runs the body from the top as a
-  /// fresh incarnation — so restart *timing* is an ordinary scheduling
-  /// decision that record/replay and the explorer cover for free. When
-  /// false, crashes are permanent (fail-stop). Restarting bodies must not
-  /// contain barriers: the barrier accounting cannot tell a reborn
-  /// first-barrier arrival from a later one.
-  bool restart_crashed = false;
-  /// Virtual downtime charged to a restarting process before it re-enters
-  /// the scheduler (kVirtualTime: keeps it out of the running for that
-  /// long).
-  Nanos restart_delay_ns = 0;
-  /// Failure detector model for RmaComm::suspected(): false = perfect
-  /// (suspected iff crashed); true = adversarial (every other rank is
-  /// always suspected — the timeout that always fires). Lease fencing must
-  /// keep its epoch-safety property even under the adversarial detector.
-  bool adversarial_suspicion = false;
-
-  // --- torn multi-word reads ----------------------------------------------
-  // Fault model for RmaComm::get_vec: on real RMA hardware a multi-word
-  // read is atomic per word only, so concurrent writers may interleave
-  // between the words. With max_tears > 0, every multi-word get_vec becomes
-  // an explorable decision: read all n words atomically, or read a prefix
-  // of k words (1 <= k < n), yield the cpu (a real scheduling point where
-  // writers can run), then read the rest — the observed vector can mix pre-
-  // and post-write state. Decisions share the pick stream (see
-  // ScheduleTrace), so record/replay, ddmin, and the exhaustive explorer
-  // cover every tear placement. 0 disables the machinery completely: no
-  // decision, no cost, recorded traces stay bit-compatible with the
-  // pre-tear-model format.
-
-  /// Maximum number of torn reads the run may inject (budget, like
-  /// max_crashes).
-  i32 max_tears = 0;
-  /// Chance (permille) of tearing an armed multi-word get_vec under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 tear_chance_permille = 500;
-
-  // --- gray-failure network ------------------------------------------------
-  // Fault model for the *common* production failure the paper's healthy
-  // interconnect assumes away: stragglers (an op that completes, just much
-  // later) and transient partitions (a target unreachable for a window, then
-  // fine). With either budget armed, every remote op is an explorable
-  // decision — complete normally, inject a straggler delay (the op's
-  // completion charge is multiplied by delay_factor), or open a partition of
-  // the target (remote ops against it stall until the window closes;
-  // try_* ops fail fast instead). Decisions share the pick stream (see
-  // ScheduleTrace) below the tear range, so record/replay, ddmin, and the
-  // exhaustive explorer cover them. 0/0 disables the machinery completely:
-  // no decision, no cost, recorded traces stay bit-compatible with the
-  // pre-gray-model format.
-
-  /// Maximum number of straggler delays the run may inject (budget).
-  i32 max_delays = 0;
-  /// Chance (permille) of injecting a fault at an armed remote op under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct); shared by the delay
-  /// and partition draws. kReplay takes the decision from the trace /
-  /// pick_hook instead.
-  u32 delay_chance_permille = 200;
-  /// Straggler multiplier: a delayed op's completion charge is multiplied
-  /// by this factor (congested-link model).
-  i64 delay_factor = 16;
-  /// Maximum number of transient partitions the run may open (budget).
-  i32 max_partitions = 0;
-  /// Virtual duration of one transient partition: remote ops against the
-  /// partitioned target stall until `origin clock + partition_span`.
-  Nanos partition_span = 50'000;
-
-  // --- clock skew / drift --------------------------------------------------
-  // Fault model for the synchronized-clock assumption every time-based
-  // lease leans on: per-process local clocks (RmaComm::local_now_ns) that
-  // run fast or slow relative to true time and step within a bounded skew
-  // window — the NTP reality the paper's model ignores. Disarmed,
-  // local_now_ns is the shared wall clock (perfect synchronization). With
-  // the budget armed, every remote op is an explorable decision — keep the
-  // caller's clock map, or re-anchor it to an extreme rate (±
-  // max_drift_permille) and skew step (± skew_window). Decisions share the
-  // pick stream (see ScheduleTrace) below the partition range, so
-  // record/replay, ddmin, and the exhaustive explorer cover every drift
-  // placement. 0 disables the machinery completely: no decision, no trace
-  // entry, recorded traces stay bit-compatible with the pre-drift-model
-  // format.
-
-  /// Maximum number of drift events the run may inject (budget, like
-  /// max_delays).
-  i32 max_drift_events = 0;
-  /// Chance (permille) of drifting at an armed remote op under the
-  /// stochastic policies (kVirtualTime/kRandom/kPct). kReplay takes the
-  /// decision from the trace / pick_hook instead.
-  u32 drift_chance_permille = 200;
-  /// Worst-case clock rate error (permille): a drifted clock advances at
-  /// (1000 ± this)/1000 of true time.
-  u32 max_drift_permille = 200;
-  /// Bound on the absolute skew offset a local clock can step to (the NTP
-  /// step clamp). A drift event sets the caller's skew to ± this.
-  Nanos skew_window = 2'000;
+  FaultConfig faults;  // all fault models off by default
 
   // --- observability -------------------------------------------------------
 
@@ -262,6 +245,19 @@ class SimWorld final : public World {
   void reset_stats();
 
   [[nodiscard]] const SimOptions& options() const { return opts_; }
+
+  /// Widest tear a run with tears armed may make (a get_vec of up to
+  /// kTearPickSpan + 1 words): the tear row of the fault table is
+  /// kTearPickSpan + 1 picks wide for every payload size.
+  static constexpr Rank kTearPickSpan = 64;
+  /// The fault table's pick encoding in a world of `nprocs` processes:
+  /// fault `kind` with payload i (the rank it strikes, or a tear's split)
+  /// records -(base(kind) + i). Rows stack in FaultKind order from base 2
+  /// (clear of kNilRank) with widths P, kTearPickSpan + 1, P, P, P, so
+  /// their ranges are disjoint and pick(kind, i) is -(r + 2) for a crash,
+  /// -(P + 2 + k) for a tear, -(P + 67 + r) for a delay, -(2P + 67 + t) for
+  /// a partition, and -(3P + 67 + r) for a drift.
+  [[nodiscard]] static Rank fault_pick(FaultKind kind, Rank i, i32 nprocs);
 
  private:
   friend class SimComm;
@@ -337,46 +333,6 @@ class SimWorld final : public World {
   /// (same exception-transparency argument as StopRun).
   struct ProcCrashed {};
 
-  /// Crash decisions share the pick stream with scheduling decisions:
-  /// surviving crash point records the caller's rank, crashing records
-  /// crash_pick(rank). The +2 offset keeps the encoding clear of
-  /// kNilRank (-1).
-  [[nodiscard]] static constexpr Rank crash_pick(Rank rank) {
-    return -(rank + 2);
-  }
-
-  /// Torn-read decisions also share the pick stream: an atomic n-word
-  /// get_vec records the caller's rank, tearing after a k-word prefix
-  /// records tear_pick(k) — offset past the crash range [-(P + 1), -2] so
-  /// the encodings never collide for any rank/split of this world.
-  [[nodiscard]] Rank tear_pick(usize split) const {
-    return -(nprocs() + 2 + static_cast<Rank>(split));
-  }
-
-  /// Width reserved for the tear range in the pick encoding: splits are
-  /// CHECKed against it when tears are armed, so the gray-failure picks
-  /// below can sit at fixed offsets under the tear range without ever
-  /// colliding for any payload size of this world.
-  static constexpr Rank kTearPickSpan = 64;
-
-  /// Gray-failure decisions share the pick stream below the tear range:
-  /// a normal completion records the caller's rank, a straggler delay
-  /// records delay_pick(origin), a transient partition of the target
-  /// records part_pick(target).
-  [[nodiscard]] Rank delay_pick(Rank rank) const {
-    return -(nprocs() + kTearPickSpan + 3 + rank);
-  }
-  [[nodiscard]] Rank part_pick(Rank rank) const {
-    return -(2 * nprocs() + kTearPickSpan + 3 + rank);
-  }
-
-  /// Clock-drift decisions share the pick stream below the partition
-  /// range: a no-drift completion records the caller's rank, a drift event
-  /// on the caller's clock records drift_pick(origin).
-  [[nodiscard]] Rank drift_pick(Rank rank) const {
-    return -(3 * nprocs() + kTearPickSpan + 3 + rank);
-  }
-
   void grow_windows(usize words) override;
 
   // --- fiber plumbing ------------------------------------------------------
@@ -392,39 +348,11 @@ class SimWorld final : public World {
   void execute_compute(Rank origin, Nanos ns);
   void execute_barrier(Rank origin);
   /// Multi-word get (RmaComm::get_vec) with the torn-read fault model: with
-  /// max_tears armed and n >= 2, an explorable decision to read atomically
-  /// or split after a k-word prefix with a scheduling point between the
+  /// tears armed and n >= 2, an explorable decision to read atomically or
+  /// split after a k-word prefix with a scheduling point between the
   /// halves.
   void execute_get_vec(Rank origin, Rank target, WinOffset offset, i64* out,
                        usize n);
-  /// The tear/no-tear decision at an armed multi-word get_vec: returns the
-  /// prefix length k in [1, n-1] to tear after, or 0 for an atomic read.
-  usize decide_tear(Rank origin, usize n);
-  /// Gray-failure outcome of one remote-op fault decision.
-  enum class GrayOutcome : u8 { kNone, kDelay, kPartition };
-  /// The fault decision at an armed remote op (gray model): complete
-  /// normally, inject a straggler delay, or open a transient partition of
-  /// the target. Only called while a budget remains.
-  GrayOutcome decide_gray(Rank origin, Rank target);
-  /// True iff either gray budget still has events left.
-  [[nodiscard]] bool gray_armed() const {
-    return (opts_.max_delays > 0 &&
-            result_.delays < static_cast<u64>(opts_.max_delays)) ||
-           (opts_.max_partitions > 0 &&
-            result_.partitions < static_cast<u64>(opts_.max_partitions));
-  }
-  /// The drift/no-drift decision at an armed remote op (clock model):
-  /// returns true iff a drift event was applied to origin's clock map.
-  bool decide_drift(Rank origin);
-  /// Re-anchors origin's clock map at the current wall time with an
-  /// extreme rate and skew step (deterministic — no rng draws, so replay
-  /// reproduces the exact clock trajectory).
-  void apply_drift(Rank origin);
-  /// True iff the drift budget still has events left.
-  [[nodiscard]] bool drift_armed() const {
-    return opts_.max_drift_events > 0 &&
-           result_.drift_events < static_cast<u64>(opts_.max_drift_events);
-  }
   /// Deadline-aware single-attempt op (RmaComm::try_*): one engine step,
   /// never parks; fails fast without applying when the target is inside a
   /// partition window that outlasts the deadline.
@@ -435,8 +363,41 @@ class SimWorld final : public World {
   /// injection is armed and budget remains, else an explorable binary
   /// decision that may throw ProcCrashed through the caller.
   void execute_crash_point(Rank origin);
-  /// The crash/survive decision at an armed crash point (per policy).
-  bool decide_crash(Rank origin);
+
+  // --- fault decisions -----------------------------------------------------
+  /// True iff `kind` still has budget left this run.
+  [[nodiscard]] bool armed(FaultKind kind) const;
+  /// This world's encoding of fault `kind` with payload i (fault_pick).
+  [[nodiscard]] Rank pick(FaultKind kind, Rank i) const {
+    return fault_pick(kind, i, nprocs());
+  }
+  /// The one fault decision: chooses among the candidates the caller left
+  /// in fault_picks_ (ascending) and `origin`, the fault-free choice, which
+  /// decide() appends last — so every fault costs the exhaustive explorer
+  /// one preemption. The rule, for every kind and policy (kVirtualTime runs
+  /// record only their fault picks): take the next recorded pick while the
+  /// replay trace has one; else ask pick_hook if set; else pick `origin`
+  /// if a replay trace is set or the policy is kReplay; else draw — fire
+  /// with `kind`'s chance, then pick the candidate (see sim_world.cpp). A
+  /// pick naming no candidate counts as a replay divergence and falls back
+  /// to `origin`. The pick is recorded when record_schedule is set.
+  Rank decide(FaultKind kind, Rank origin);
+  /// The cost of a `kind` op from origin to target, after the remote op's
+  /// drift then gray decisions, one engine step each while its budget
+  /// remains: a straggler multiplies the cost by delay_factor, and a
+  /// partition or drift takes effect here.
+  Nanos remote_op_faults(Rank origin, Rank target, OpKind kind, i32 dclass) {
+    const Nanos cost = opts_.latency.op_cost(kind, dclass);
+    if (dclass == 0 || !remote_faults_) return cost;
+    return decide_remote_faults(origin, target, cost);
+  }
+  Nanos decide_remote_faults(Rank origin, Rank target, Nanos cost);
+  /// Re-anchors origin's clock map at the current wall time with an
+  /// extreme rate and skew step (deterministic — no rng draws, so replay
+  /// reproduces the exact clock trajectory).
+  void apply_drift(Rank origin);
+  /// Counts an applied fault and emits its trace event on origin's ring.
+  void note_fault(FaultKind kind, Rank origin, i64 a, i64 b = 0, i64 c = 0);
   /// Failure detector backing RmaComm::suspected().
   [[nodiscard]] bool proc_suspected(Rank origin, Rank target) const;
   /// A crash is a failure-detection event: wakes every parked process with
@@ -447,6 +408,16 @@ class SimWorld final : public World {
   i64 apply_to_window(OpKind kind, Rank target, WinOffset offset, i64 operand,
                       i64 cmp, AccumOp aop, bool* wrote);
   void wake_waiters(Rank target, WinOffset offset, Nanos write_time);
+
+  /// Queues an op arriving at `arrival` behind target's partition window
+  /// (all-zero when the gray model is unarmed) and NIC; returns the time
+  /// it completes there.
+  Nanos book_nic(Rank target, Nanos arrival, Nanos occupancy) {
+    const auto t = static_cast<usize>(target);
+    nic_free_[t] =
+        std::max({arrival, partition_until_[t], nic_free_[t]}) + occupancy;
+    return nic_free_[t];
+  }
 
   /// Records a nonblocking op's acknowledgement time (completion + return
   /// trip) for the next flush(target) to charge.
@@ -547,6 +518,8 @@ class SimWorld final : public World {
   // stall below a no-op.
   std::vector<Nanos> partition_until_;
   std::vector<u8> dclass_;  // [origin * P + target] distance classes
+  std::vector<Rank> fault_picks_;  // candidates of the fault decision
+  bool remote_faults_ = false;     // a drift or gray budget is configured
 
   // Parked-waiter arena: one singly-linked list of ranks per window cell
   // (may hold stale entries for procs already woken; filtered by state on

@@ -15,6 +15,7 @@
 // state. Offsets are allocated collectively before any run.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -24,6 +25,19 @@
 
 namespace rmalock::rma {
 
+/// The injectable fault kinds, in the order of SimWorld's fault table
+/// (SimWorld::fault_pick), which is also their pick-encoding order.
+enum class FaultKind : u8 { kCrash, kTear, kDelay, kPartition, kDrift };
+inline constexpr usize kNumFaultKinds = 5;
+
+/// Events injected per fault kind (RunResult::injected).
+struct FaultCounts {
+  std::array<u64, kNumFaultKinds> n{};
+
+  u64& operator[](FaultKind kind) { return n[static_cast<usize>(kind)]; }
+  u64 operator[](FaultKind kind) const { return n[static_cast<usize>(kind)]; }
+};
+
 /// A recorded schedule: the rank chosen at every scheduler decision point of
 /// a SimWorld run under a list policy (kRandom/kPct/kReplay). Replaying the
 /// same picks against the same SimOptions re-executes the run bit-identically
@@ -31,37 +45,12 @@ namespace rmalock::rma {
 /// trace still replays — unmatched decisions fall back to the deterministic
 /// smallest-rank policy — which is what makes ddmin-style shrinking possible.
 ///
-/// Crash decisions (SimOptions::max_crashes > 0) share the pick stream: at
-/// an armed crash point, surviving records the caller's rank r and crashing
-/// records -(r + 2) (the offset keeps the encoding clear of kNilRank = -1).
-/// With crash injection off, crash points record nothing, so such traces
-/// are bit-compatible with pre-crash-model ones.
-///
-/// Torn-read decisions (SimOptions::max_tears > 0) share the stream the same
-/// way: at an armed n-word get_vec, reading atomically records the caller's
-/// rank r and tearing after a prefix of k words (1 <= k < n) records
-/// -(P + 2 + k) — below the crash range [-(P + 1), -2], so the three
-/// encodings never collide. With the fault model off, get_vec makes no
-/// decision and records nothing, keeping pre-tear-model traces
-/// bit-compatible.
-///
-/// Gray-failure decisions (SimOptions::max_delays / max_partitions > 0)
-/// share the stream below the tear range, whose width is bounded by
-/// SimWorld::kTearPickSpan: at an armed remote op, completing normally
-/// records the caller's rank r, injecting a straggler delay records
-/// -(P + kTearPickSpan + 3 + r), and opening a transient partition of the
-/// *target* rank t records -(2P + kTearPickSpan + 3 + t). All four fault
-/// encodings occupy disjoint negative ranges, and with the gray model off
-/// remote ops make no fault decision — pre-gray-model traces stay
-/// bit-compatible.
-///
-/// Clock-drift decisions (SimOptions::max_drift_events > 0) share the
-/// stream below the partition range: at an armed remote op, keeping the
-/// caller's clock map records the caller's rank r and injecting a drift
-/// event records -(3P + kTearPickSpan + 3 + r). The event itself is a
-/// deterministic function of (rank, event count), so the pick alone
-/// reproduces the exact clock trajectory. With the drift model off, no
-/// decision is made — pre-drift-model traces stay bit-compatible.
+/// Armed fault decisions (SimOptions::faults) share the stream under every
+/// policy: the fault-free outcome records the caller's rank, a fault
+/// records a negative pick from its row of the fault table (see
+/// SimWorld::fault_pick; the rows' ranges are disjoint). A disarmed fault
+/// model makes no decision and records nothing, so traces stay
+/// bit-compatible with the formats that predate it.
 struct ScheduleTrace {
   std::vector<Rank> picks;
 
@@ -82,29 +71,19 @@ struct RunResult {
   u64 steps = 0;
   /// Virtual (SimWorld) or wall (ThreadWorld) time of the longest process.
   Nanos makespan_ns = 0;
-  /// Scheduler decisions taken, when SimOptions::record_schedule was set
-  /// under a list policy (kRandom/kPct/kReplay); empty otherwise.
+  /// Decisions taken, when SimOptions::record_schedule was set: scheduler
+  /// picks under a list policy (kRandom/kPct/kReplay) and armed fault
+  /// decisions under any policy; empty otherwise.
   ScheduleTrace schedule;
-  /// kReplay only: decisions whose recorded rank was not runnable (possible
-  /// with shrunk/edited traces) and fell back to the smallest runnable rank.
-  /// 0 on a faithful replay of an unmodified trace.
+  /// Replayed (or hooked) decisions that named no available choice
+  /// (possible with shrunk/edited traces) and fell back to the smallest
+  /// runnable rank or the fault-free outcome. 0 on a faithful replay of an
+  /// unmodified trace.
   u64 replay_divergences = 0;
-  /// Crash events injected at declared crash points (SimWorld with
-  /// SimOptions::max_crashes > 0; always 0 otherwise). With restarts
-  /// enabled a process can contribute several.
-  u64 crashes = 0;
-  /// Torn multi-word reads injected at armed get_vec calls (SimWorld with
-  /// SimOptions::max_tears > 0; always 0 otherwise).
-  u64 tears = 0;
-  /// Straggler delays injected at armed remote ops (SimWorld with
-  /// SimOptions::max_delays > 0; always 0 otherwise).
-  u64 delays = 0;
-  /// Transient partitions opened at armed remote ops (SimWorld with
-  /// SimOptions::max_partitions > 0; always 0 otherwise).
-  u64 partitions = 0;
-  /// Clock-drift events injected at armed remote ops (SimWorld with
-  /// SimOptions::max_drift_events > 0; always 0 otherwise).
-  u64 drift_events = 0;
+  /// Fault events injected, per kind (SimWorld with the kind armed in
+  /// SimOptions::faults; always 0 otherwise). With restarts enabled a
+  /// process can contribute several crashes.
+  FaultCounts injected;
   /// Ranks that were dead when the run finished (fail-stop crashes, or
   /// crashes whose restart never got scheduled before the run ended).
   std::vector<Rank> crashed_ranks;

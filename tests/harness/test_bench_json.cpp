@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "harness/bench_common.hpp"
+#include "support/test_support.hpp"
 
 namespace rmalock {
 namespace {
@@ -23,7 +24,7 @@ namespace {
 class BenchJson : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "bench_json_schema_test.json";
+    path_ = test::test_temp_path(".json");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -24,8 +24,8 @@ rma::SimOptions lease_options(const topo::Topology& topology, u64 seed,
   opts.topology = topology;
   opts.latency = rma::LatencyModel::zero(topology.num_levels());
   opts.seed = seed;
-  opts.max_crashes = max_crashes;
-  opts.crash_chance_permille = 1000;  // armed points always fire
+  opts.faults.max_crashes = max_crashes;
+  opts.faults.crash_chance_permille = 1000;  // armed points always fire
   return opts;
 }
 
@@ -65,7 +65,7 @@ TEST(Lease, FencedStealBumpsEpochAndFencedReleaseIsQuiet) {
   // the steal must bump the epoch (fencing rank 0), and rank 0's later
   // release must see the foreign owner and touch nothing.
   rma::SimOptions opts = lease_options(topo::Topology::uniform({}, 2), 3);
-  opts.adversarial_suspicion = true;
+  opts.faults.adversarial_suspicion = true;
   auto world = rma::SimWorld::create(std::move(opts));
   auto lease = make_lease(*world);
   const WinOffset held = world->allocate(1);    // rank 0 holds the lease
@@ -197,7 +197,7 @@ TEST(Lease, RestartedOwnerSelfFencesItsOrphanedLease) {
   // on rejoin is what breaks the cycle; without it this run deadlocks.
   rma::SimOptions opts = lease_options(topo::Topology::uniform({}, 4), 11,
                                        /*max_crashes=*/1);
-  opts.restart_crashed = true;
+  opts.faults.restart_crashed = true;
   opts.abort_on_deadlock = false;
   auto world = rma::SimWorld::create(std::move(opts));
   auto lease = make_lease(*world);
@@ -215,7 +215,7 @@ TEST(Lease, RestartedOwnerSelfFencesItsOrphanedLease) {
   });
   EXPECT_TRUE(result.ok()) << "restart wedge: rebooted owner never fenced "
                               "its own orphaned lease";
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[rma::FaultKind::kCrash], 1u);
   EXPECT_TRUE(result.crashed_ranks.empty());
   EXPECT_EQ(LeaseExclusive::owner_of(lease->lease_word(*world)), kNilRank);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -443,6 +445,16 @@ struct RwSweepCase {
   i32 writer_mod;  // rank % writer_mod == 0 -> writer (0 = all readers)
 };
 
+// Test names and printed parameters come from the case's values: gtest
+// would otherwise print the struct as raw bytes, including its `spec`
+// pointer, so ctest names changed between builds.
+std::string sweep_name(const RwSweepCase& c) {
+  return std::string(c.spec) + "_tdc" + std::to_string(c.tdc) + "_tl" +
+         std::to_string(c.tl) + "_tr" + std::to_string(c.tr) + "_wmod" +
+         std::to_string(c.writer_mod);
+}
+void PrintTo(const RwSweepCase& c, std::ostream* os) { *os << sweep_name(c); }
+
 class RmaRwSweep
     : public ::testing::TestWithParam<std::tuple<RwSweepCase, u64>> {};
 
@@ -490,7 +502,11 @@ INSTANTIATE_TEST_SUITE_P(
             RwSweepCase{"2x2x2", 2, 2, 4, 2},    // N=3
             RwSweepCase{"2x2x2x2", 2, 2, 4, 3},  // N=4 (paper checks to 4)
             RwSweepCase{"2x8", 16, 2, 3, 5}),    // cross-node counter
-        ::testing::Values(1u, 17u)));
+        ::testing::Values(1u, 17u)),
+    [](const ::testing::TestParamInfo<RmaRwSweep::ParamType>& info) {
+      return sweep_name(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(RmaRwThreads, StressMixedRoles) {
   const auto topo = topo::Topology::nodes(3, 2);

@@ -374,8 +374,8 @@ TEST(LockSpaceRecovery, RecoverOrphansReclaimsOnlyTheOrphanedLease) {
   // survivor's administrative sweep reclaims exactly that lease, and the
   // orphaned name serves new claimants again.
   rma::SimOptions opts = sim_options(topo::Topology::uniform({2}, 2));
-  opts.max_crashes = 1;
-  opts.crash_chance_permille = 1000;  // the armed point fires for sure
+  opts.faults.max_crashes = 1;
+  opts.faults.crash_chance_permille = 1000;  // the armed point fires for sure
   auto world = rma::SimWorld::create(opts);
   lockspace::LockSpaceConfig config;
   config.backend = locks::Backend::kLeaseMcs;
@@ -406,7 +406,7 @@ TEST(LockSpaceRecovery, RecoverOrphansReclaimsOnlyTheOrphanedLease) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[rma::FaultKind::kCrash], 1u);
   EXPECT_EQ(reclaimed, 1u);
   EXPECT_EQ(reclaimed_again, 0u);
 }

@@ -11,6 +11,7 @@
 #include "locks/rma_rw.hpp"
 #include "mc/schedule.hpp"
 #include "planted_locks.hpp"
+#include "support/test_support.hpp"
 
 namespace rmalock::mc {
 namespace {
@@ -356,7 +357,7 @@ TEST(Checker, ShrunkCounterexampleReplaysDeterministically) {
 TEST(Checker, TraceDirWritesReplayableFile) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  config.trace_dir = ::testing::TempDir();
+  config.trace_dir = rmalock::test::test_temp_dir();
   config.workload_id = "ex:no-lock";
   const auto report = check_exclusive(config, no_lock_factory());
   ASSERT_TRUE(report.has_first_failure);

@@ -38,8 +38,8 @@ CheckConfig crash_config(rma::SchedPolicy policy, u64 schedules) {
   config.policy = policy;
   config.schedules = schedules;
   config.acquires_per_proc = 3;
-  config.max_crashes = 1;
-  config.crash_chance_permille = 100;
+  config.faults.max_crashes = 1;
+  config.faults.crash_chance_permille = 100;
   return config;
 }
 
@@ -92,7 +92,7 @@ TEST(CrashMc, RestartCampaignIsClean) {
   // self-fence (and its stale-epoch release failing quietly) keep both
   // safety and liveness.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 30);
-  config.restart_crashed = true;
+  config.faults.restart_crashed = true;
   const CheckReport report = check_lease(config, lease_factory(true));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -102,7 +102,7 @@ TEST(CrashMc, AdversarialDetectorStaysEpochSafeWhenFenced) {
   // the time — epoch safety must come from the fence alone, not from
   // detector accuracy.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 20);
-  config.adversarial_suspicion = true;
+  config.faults.adversarial_suspicion = true;
   const CheckReport report = check_lease(config, lease_factory(true));
   EXPECT_EQ(report.mutex_violations, 0u) << report.summary();
 }
@@ -114,7 +114,7 @@ TEST(CrashMc, ExhaustiveFencedLeaseDrainsItsSpaceCleanly) {
   config.topology = topo::Topology::uniform({}, 2);
   config.acquires_per_proc = 1;
   config.max_steps = 400'000;
-  config.max_crashes = 1;
+  config.faults.max_crashes = 1;
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
@@ -146,7 +146,7 @@ TEST_P(PlantedNoFenceBug, IsCaughtWithAReplayableCounterexample) {
       run_lease_schedule(config, lease_factory(false), replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the epoch violation";
-  EXPECT_GE(outcome.run.crashes, 1u)
+  EXPECT_GE(outcome.run.injected[rma::FaultKind::kCrash], 1u)
       << "the violation needs the recorded crash to re-fire";
 }
 
@@ -159,7 +159,7 @@ TEST(CrashMc, PlantedNoFenceBugIsCaughtByExhaustiveEnumeration) {
   config.topology = topo::Topology::uniform({}, 2);
   config.acquires_per_proc = 1;
   config.max_steps = 400'000;
-  config.max_crashes = 1;
+  config.faults.max_crashes = 1;
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;

@@ -51,7 +51,7 @@ CheckConfig drift_config(u64 schedules, i32 drift_events = 2) {
   config.policy = rma::SchedPolicy::kVirtualTime;
   config.schedules = schedules;
   config.acquires_per_proc = 3;
-  config.max_drift_events = drift_events;
+  config.faults.max_drift_events = drift_events;
   return config;
 }
 
@@ -152,7 +152,7 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
       config, drift_factory(/*margin=*/false), replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the belief overlap";
-  EXPECT_GT(outcome.run.drift_events, 0u)
+  EXPECT_GT(outcome.run.injected[rma::FaultKind::kDrift], 0u)
       << "the violation needs the recorded drift events to re-fire";
 }
 

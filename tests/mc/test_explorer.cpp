@@ -6,6 +6,7 @@
 #include "locks/rma_rw.hpp"
 #include "mc/schedule.hpp"
 #include "planted_locks.hpp"
+#include "support/test_support.hpp"
 
 namespace rmalock::mc {
 namespace {
@@ -205,7 +206,7 @@ TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
   // preemption deepening finds the race without enumerating the full space.
   CheckConfig config = tiny_config(2, 2);
   config.writer_roles = {false, true};  // rank 0 reads, rank 1 writes
-  config.trace_dir = ::testing::TempDir();
+  config.trace_dir = rmalock::test::test_temp_dir();
   config.workload_id = "rw:planted-faithful";
   ExploreConfig explore;
   explore.max_schedules = 200'000;

@@ -36,8 +36,8 @@ mc::CheckConfig planted_bug_config(rma::SchedPolicy policy) {
   config.acquires_per_proc = 10;
   config.max_steps = 2'000'000;
   config.writer_roles = {true, false, true, false};
-  config.max_tears = 6;
-  config.tear_chance_permille = 300;
+  config.faults.max_tears = 6;
+  config.faults.tear_chance_permille = 300;
   return config;
 }
 
@@ -52,7 +52,7 @@ TEST(OptimisticMc, ArmedCampaignIsCleanOnTheCorrectImplementation) {
     config.acquires_per_proc = 6;
     config.max_steps = 2'000'000;
     config.writer_fraction = 0.5;
-    config.max_tears = 2;
+    config.faults.max_tears = 2;
     const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 2);
     const auto report = mc::check_optimistic(config, factory, keys);
     EXPECT_TRUE(report.ok()) << report.summary();
@@ -98,7 +98,7 @@ TEST(OptimisticMc, TornReadBlindCampaignMissesThePlantedBug) {
   for (const auto policy :
        {rma::SchedPolicy::kRandom, rma::SchedPolicy::kPct}) {
     mc::CheckConfig config = planted_bug_config(policy);
-    config.max_tears = 0;  // blind
+    config.faults.max_tears = 0;  // blind
     const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 1);
     const auto report = mc::check_optimistic(config, factory, keys);
     EXPECT_TRUE(report.ok())
@@ -113,7 +113,7 @@ TEST(OptimisticMc, ExhaustiveDrainsCleanAndCatchesThePlantedBug) {
   config.acquires_per_proc = 1;
   config.max_steps = 400'000;
   config.writer_roles = {true, false};
-  config.max_tears = 1;
+  config.faults.max_tears = 1;
   mc::ExploreConfig explore;
   explore.max_schedules = 200'000;
   explore.max_preemptions = 3;  // pause writer, tear the read, resume writer
@@ -151,7 +151,7 @@ TEST(OptimisticMc, ParallelCampaignIsByteIdenticalToSequential) {
   config.acquires_per_proc = 4;
   config.max_steps = 2'000'000;
   config.writer_fraction = 0.5;
-  config.max_tears = 2;
+  config.faults.max_tears = 2;
   const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 2);
   config.jobs = 1;
   const auto sequential = mc::check_optimistic(config, factory, keys);

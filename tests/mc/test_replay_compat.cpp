@@ -120,27 +120,19 @@ struct GoldenCase {
   topo::Topology topology;
   u64 world_seed;
   i32 acquires;
-  // Crash-injection knobs of the recorded run. Zero for the v1-era goldens
-  // (kept byte-identical on disk: they pin backward-compatible reads of the
-  // pre-crash-model format); nonzero cases record v2 traces whose picks
-  // stream interleaves negative crash decisions.
-  i32 max_crashes = 0;
-  bool restart = false;
-  // Torn-read knob: nonzero cases record v3 traces whose picks stream
-  // interleaves tear decisions (tear_pick(k) = -(P + 2 + k)).
-  i32 max_tears = 0;
-  // Gray-failure knobs: nonzero cases record v4 traces whose picks stream
-  // interleaves delay/partition decisions (encoded below the tear range).
-  i32 max_delays = 0;
-  i32 max_partitions = 0;
-  // Clock-drift knob: nonzero cases record v5 traces. Drift campaigns run
-  // under kVirtualTime (belief intervals are only comparable in
-  // virtual-time order), so the drift golden is recorded and replayed with
-  // that policy and its picks stream holds ONLY drift decisions.
-  i32 max_drift_events = 0;
+  // Fault knobs of the recorded run (chances are set by config_for). All
+  // off for the v1-era goldens (kept byte-identical on disk: they pin
+  // backward-compatible reads of the pre-crash-model format); crash cases
+  // record v2 traces, the tear case v3, the gray case v4, and the drift
+  // case v5, each interleaving its fault picks (fault table,
+  // rma::SimWorld::fault_pick). Drift campaigns run under kVirtualTime
+  // (belief intervals are only comparable in virtual-time order), so the
+  // drift golden is recorded and replayed with that policy and its picks
+  // stream holds ONLY drift decisions.
+  rma::FaultConfig faults = {};
 
   [[nodiscard]] rma::SchedPolicy policy() const {
-    return max_drift_events > 0 ? rma::SchedPolicy::kVirtualTime
+    return faults.max_drift_events > 0 ? rma::SchedPolicy::kVirtualTime
                                 : rma::SchedPolicy::kRandom;
   }
 };
@@ -156,21 +148,17 @@ std::vector<GoldenCase> golden_cases() {
       {"replay_ex_P2x2_s22.trace", "ex:rma-mcs",
        topo::Topology::uniform({2}, 2), 22, 4},
       {"replay_lease_crash_P4_s31.trace", "lease:mcs",
-       topo::Topology::uniform({}, 4), 31, 4, /*max_crashes=*/1},
+       topo::Topology::uniform({}, 4), 31, 4, {.max_crashes = 1}},
       {"replay_lease_restart_P2x2_s32.trace", "lease:mcs",
-       topo::Topology::uniform({2}, 2), 32, 4, /*max_crashes=*/1,
-       /*restart=*/true},
+       topo::Topology::uniform({2}, 2), 32, 4,
+       {.max_crashes = 1, .restart_crashed = true}},
       {"replay_opt_tear_P4_s41.trace", "opt:versioned",
-       topo::Topology::uniform({}, 4), 41, 4, /*max_crashes=*/0,
-       /*restart=*/false, /*max_tears=*/2},
+       topo::Topology::uniform({}, 4), 41, 4, {.max_tears = 2}},
       {"replay_timeout_gray_P4_s51.trace", "timeout:rma-mcs",
-       topo::Topology::uniform({}, 4), 51, 4, /*max_crashes=*/0,
-       /*restart=*/false, /*max_tears=*/0, /*max_delays=*/2,
-       /*max_partitions=*/1},
+       topo::Topology::uniform({}, 4), 51, 4,
+       {.max_delays = 2, .max_partitions = 1}},
       {"replay_drift_vtime_P2_s61.trace", "drift:fenced",
-       topo::Topology::uniform({}, 2), 61, 3, /*max_crashes=*/0,
-       /*restart=*/false, /*max_tears=*/0, /*max_delays=*/0,
-       /*max_partitions=*/0, /*max_drift_events=*/2},
+       topo::Topology::uniform({}, 2), 61, 3, {.max_drift_events = 2}},
   };
 }
 
@@ -189,25 +177,20 @@ mc::CheckConfig config_for(const GoldenCase& c) {
   for (i32 r = 0; r < c.topology.nprocs(); r += 2) {
     config.writer_roles[static_cast<usize>(r)] = true;
   }
-  config.max_crashes = c.max_crashes;
+  config.policy = c.policy();
+  config.faults = c.faults;
   // Moderate per-point chance so the one-crash budget lands on different
   // crash points across schedules (an always-fire chance would pin every
   // crash to the first declared point).
-  config.crash_chance_permille = 300;
-  config.restart_crashed = c.restart;
-  config.max_tears = c.max_tears;
+  config.faults.crash_chance_permille = 300;
   // High per-read chance: the small tear budget must actually be spent
   // within the short recorded run.
-  config.tear_chance_permille = 700;
-  config.max_delays = c.max_delays;
-  config.max_partitions = c.max_partitions;
+  config.faults.tear_chance_permille = 700;
   // Same reasoning for the gray budgets: the recorded run must spend them.
-  config.delay_chance_permille = 400;
-  config.policy = c.policy();
-  config.max_drift_events = c.max_drift_events;
+  config.faults.delay_chance_permille = 400;
   // High per-op chance so the two-event drift budget is spent within the
   // short recorded run.
-  config.drift_chance_permille = 600;
+  config.faults.drift_chance_permille = 600;
   return config;
 }
 
@@ -244,26 +227,26 @@ void regenerate() {
     opts.record_schedule = true;
     const mc::ScheduleOutcome outcome = run_case(c, config, opts);
     ASSERT_TRUE(outcome.run.ok()) << c.file << ": golden run must be clean";
-    if (c.max_crashes > 0) {
+    if (c.faults.max_crashes > 0) {
       // A crash golden without a crash pins nothing — pick another seed.
-      ASSERT_GE(outcome.run.crashes, 1u)
+      ASSERT_GE(outcome.run.injected[rma::FaultKind::kCrash], 1u)
           << c.file << ": recorded run injected no crash";
     }
-    if (c.max_tears > 0) {
+    if (c.faults.max_tears > 0) {
       // Same for the torn-read golden: it must actually contain tears.
-      ASSERT_GE(outcome.run.tears, 1u)
+      ASSERT_GE(outcome.run.injected[rma::FaultKind::kTear], 1u)
           << c.file << ": recorded run injected no torn read";
     }
-    if (c.max_delays > 0) {
-      ASSERT_GE(outcome.run.delays, 1u)
+    if (c.faults.max_delays > 0) {
+      ASSERT_GE(outcome.run.injected[rma::FaultKind::kDelay], 1u)
           << c.file << ": recorded run injected no straggler delay";
     }
-    if (c.max_partitions > 0) {
-      ASSERT_GE(outcome.run.partitions, 1u)
+    if (c.faults.max_partitions > 0) {
+      ASSERT_GE(outcome.run.injected[rma::FaultKind::kPartition], 1u)
           << c.file << ": recorded run injected no partition window";
     }
-    if (c.max_drift_events > 0) {
-      ASSERT_GE(outcome.run.drift_events, 1u)
+    if (c.faults.max_drift_events > 0) {
+      ASSERT_GE(outcome.run.injected[rma::FaultKind::kDrift], 1u)
           << c.file << ": recorded run injected no drift event";
     }
     mc::TraceCase golden;
@@ -276,21 +259,7 @@ void regenerate() {
     golden.acquires_per_proc = c.acquires;
     golden.writer_roles = config.writer_roles;
     golden.max_steps = config.max_steps;
-    golden.max_crashes = config.max_crashes;
-    golden.crash_chance_permille = config.crash_chance_permille;
-    golden.restart_crashed = config.restart_crashed;
-    golden.adversarial_suspicion = config.adversarial_suspicion;
-    golden.max_tears = config.max_tears;
-    golden.tear_chance_permille = config.tear_chance_permille;
-    golden.max_delays = config.max_delays;
-    golden.delay_chance_permille = config.delay_chance_permille;
-    golden.delay_factor = config.delay_factor;
-    golden.max_partitions = config.max_partitions;
-    golden.partition_span = config.partition_span;
-    golden.max_drift_events = config.max_drift_events;
-    golden.drift_chance_permille = config.drift_chance_permille;
-    golden.max_drift_permille = config.max_drift_permille;
-    golden.skew_window = config.skew_window;
+    golden.faults = config.faults;
     golden.trace = outcome.run.schedule;
     std::string error;
     ASSERT_TRUE(mc::write_trace_file(data_path(c.file), golden, &error))
@@ -322,28 +291,28 @@ TEST(ReplayCompat, GoldenTracesReplayBitIdentically) {
         << "a recorded pick named a rank that is no longer runnable there";
     EXPECT_TRUE(outcome.run.ok()) << "golden run no longer completes cleanly";
     EXPECT_EQ(outcome.mutex_violations, 0u);
-    if (c.max_crashes > 0) {
+    if (c.faults.max_crashes > 0) {
       // The recorded crash decisions must re-fire at the same points.
-      EXPECT_GE(outcome.run.crashes, 1u)
+      EXPECT_GE(outcome.run.injected[rma::FaultKind::kCrash], 1u)
           << "replay no longer reproduces the recorded crash";
     }
-    if (c.max_tears > 0) {
+    if (c.faults.max_tears > 0) {
       // The recorded tear decisions must re-fire at the same get_vecs.
-      EXPECT_GE(outcome.run.tears, 1u)
+      EXPECT_GE(outcome.run.injected[rma::FaultKind::kTear], 1u)
           << "replay no longer reproduces the recorded torn read";
     }
-    if (c.max_delays > 0) {
+    if (c.faults.max_delays > 0) {
       // The recorded delay decisions must re-fire at the same remote ops.
-      EXPECT_GE(outcome.run.delays, 1u)
+      EXPECT_GE(outcome.run.injected[rma::FaultKind::kDelay], 1u)
           << "replay no longer reproduces the recorded straggler delay";
     }
-    if (c.max_partitions > 0) {
-      EXPECT_GE(outcome.run.partitions, 1u)
+    if (c.faults.max_partitions > 0) {
+      EXPECT_GE(outcome.run.injected[rma::FaultKind::kPartition], 1u)
           << "replay no longer reproduces the recorded partition window";
     }
-    if (c.max_drift_events > 0) {
+    if (c.faults.max_drift_events > 0) {
       // The recorded drift decisions must re-fire at the same remote ops.
-      EXPECT_GE(outcome.run.drift_events, 1u)
+      EXPECT_GE(outcome.run.injected[rma::FaultKind::kDrift], 1u)
           << "replay no longer reproduces the recorded drift events";
     }
     // The decision-point structure must be unchanged: same number of

@@ -6,6 +6,7 @@
 
 #include "locks/d_mcs.hpp"
 #include "mc/checker.hpp"
+#include "support/test_support.hpp"
 
 namespace rmalock::mc {
 namespace {
@@ -171,7 +172,7 @@ TEST(TraceSerialization, RoundTripsAllFields) {
 }
 
 TEST(TraceSerialization, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.trace";
+  const std::string path = rmalock::test::test_temp_path(".trace");
   std::string error;
   ASSERT_TRUE(write_trace_file(path, sample_case(), &error)) << error;
   TraceCase parsed;
@@ -185,7 +186,7 @@ TEST(TraceSerialization, DisarmedCaseStaysByteIdenticalV2) {
   // serializing byte-identically as v2, so existing golden traces and any
   // traces in the wild stay stable.
   const TraceCase disarmed = sample_case();
-  ASSERT_EQ(disarmed.max_tears, 0);
+  ASSERT_EQ(disarmed.faults.max_tears, 0);
   const std::string text = serialize_trace(disarmed);
   EXPECT_EQ(text.rfind("rmalock-trace v2\n", 0), 0u);
   EXPECT_EQ(text.find("tears"), std::string::npos);
@@ -194,17 +195,17 @@ TEST(TraceSerialization, DisarmedCaseStaysByteIdenticalV2) {
 
 TEST(TraceSerialization, ArmedCaseRoundTripsTearKnobsAsV3) {
   TraceCase armed = sample_case();
-  armed.max_tears = 6;
-  armed.tear_chance_permille = 300;
-  armed.trace.picks.push_back(-7);  // tear_pick(1) at P = 4
+  armed.faults.max_tears = 6;
+  armed.faults.tear_chance_permille = 300;
+  armed.trace.picks.push_back(-7);  // tear after 1 word at P = 4
   const std::string text = serialize_trace(armed);
   EXPECT_EQ(text.rfind("rmalock-trace v3\n", 0), 0u);
   EXPECT_NE(text.find("tears 6 300\n"), std::string::npos);
   TraceCase parsed;
   std::string error;
   ASSERT_TRUE(parse_trace(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.max_tears, 6);
-  EXPECT_EQ(parsed.tear_chance_permille, 300u);
+  EXPECT_EQ(parsed.faults.max_tears, 6);
+  EXPECT_EQ(parsed.faults.tear_chance_permille, 300u);
   EXPECT_EQ(parsed.trace, armed.trace);
 }
 
@@ -217,8 +218,8 @@ TEST(TraceSerialization, OlderVersionsStillParse) {
   TraceCase parsed;
   std::string error;
   ASSERT_TRUE(parse_trace(v2, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.max_tears, 0);
-  EXPECT_EQ(parsed.max_crashes, 0);
+  EXPECT_EQ(parsed.faults.max_tears, 0);
+  EXPECT_EQ(parsed.faults.max_crashes, 0);
   EXPECT_EQ(parsed.trace, reference.trace);
 
   std::string v1 = v2;

@@ -67,8 +67,8 @@ TEST(TimeoutMc, ArmedCampaignIsCleanWithCorrectBackoff) {
     config.schedules = 20;
     config.acquires_per_proc = 4;
     config.max_steps = 4'000'000;
-    config.max_delays = 2;
-    config.max_partitions = 1;
+    config.faults.max_delays = 2;
+    config.faults.max_partitions = 1;
     const auto report = mc::check_timeout(config, mcs_factory());
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_EQ(report.livelock_violations, 0u);
@@ -88,7 +88,7 @@ TEST(TimeoutMc, PlantedNoBackoffIsCaughtByPctSchedules) {
   config.acquires_per_proc = 4;
   config.max_steps = 4'000'000;
   config.retry.backoff = false;
-  config.max_delays = 2;
+  config.faults.max_delays = 2;
   const auto report = mc::check_timeout(config, mcs_factory());
   EXPECT_GT(report.livelock_violations, 0u)
       << "planted no-backoff bug survived: " << report.summary();

@@ -4,7 +4,7 @@
 // piecewise-linear map of the rank's OWN virtual clock (rate error within
 // ± max_drift_permille, NTP-style steps within ± skew_window), drift
 // decisions share the picks stream below the partition range
-// (drift_pick(r) == -(3P + 64 + 3 + r)), and a recorded pick stream
+// (the drift row: -(3P + 64 + 3 + r)), and a recorded pick stream
 // replays to the bit-identical clock trajectory under kVirtualTime.
 #include <gtest/gtest.h>
 
@@ -30,10 +30,10 @@ SimOptions drift_options(i32 p, u64 seed, i32 max_events,
   SimOptions opts;
   opts.topology = topo::Topology::uniform({}, p);
   opts.seed = seed;
-  opts.max_drift_events = max_events;
-  opts.drift_chance_permille = chance_permille;
-  opts.max_drift_permille = rate_permille;
-  opts.skew_window = skew;
+  opts.faults.max_drift_events = max_events;
+  opts.faults.drift_chance_permille = chance_permille;
+  opts.faults.max_drift_permille = rate_permille;
+  opts.faults.skew_window = skew;
   return opts;
 }
 
@@ -68,7 +68,7 @@ TEST(SimWorldClockDrift, DisarmedClocksAreTheIdentityMapAndRecordNothing) {
   });
   EXPECT_TRUE(result.ok());
   EXPECT_TRUE(identity) << "a disarmed local clock deviated from now_ns";
-  EXPECT_EQ(result.drift_events, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kDrift], 0u);
   const Rank lowest_drift_pick = drift_pick_of(4, 0);
   for (const Rank pick : result.schedule.picks) {
     EXPECT_GT(pick, lowest_drift_pick) << "drift pick in a disarmed run";
@@ -84,7 +84,7 @@ TEST(SimWorldClockDrift, ArmedEventsSpendTheBudgetAndNeverOvershoot) {
     EXPECT_TRUE(result.ok());
     // Chance 1000 permille: every armed remote op drifts until the budget
     // is spent — and never past it.
-    EXPECT_EQ(result.drift_events, static_cast<u64>(budget));
+    EXPECT_EQ(result.injected[FaultKind::kDrift], static_cast<u64>(budget));
   }
 }
 
@@ -111,7 +111,7 @@ TEST(SimWorldClockDrift, DriftedClockIsAMapOfTheRanksOwnClock) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.drift_events, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kDrift], 1u);
   ASSERT_EQ(wall.size(), 4u);
   // Slope between consecutive post-event observations: 0.8 exactly (the
   // map is integer math over (1000 + rate) / 1000).
@@ -147,7 +147,7 @@ TEST(SimWorldClockDrift, SkewMayStepTheLocalClockBackward) {
     after_wall = comm.now_ns();
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.drift_events, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kDrift], 1u);
   // Zero rate isolates the step: local time moved by (wall delta - 5'000).
   EXPECT_EQ(after - before, (after_wall - before_wall) - 5'000);
 }
@@ -175,7 +175,7 @@ TEST(SimWorldClockDrift, RecordedPickStreamReplaysBitIdentically) {
     EXPECT_EQ(result.replay_divergences, 0u);
     if (recorded != nullptr) *recorded = result.schedule;
     *finals = local_ends;
-    return result.drift_events;
+    return result.injected[FaultKind::kDrift];
   };
   ScheduleTrace trace;
   std::vector<Nanos> original, replayed;
@@ -209,7 +209,7 @@ TEST(SimWorldClockDrift, ReplayedNoDriftPrefixSuppressesTheEvents) {
     identity = identity && comm.local_now_ns() == comm.now_ns();
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.drift_events, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kDrift], 0u);
   EXPECT_TRUE(identity);
 }
 

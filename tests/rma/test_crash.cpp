@@ -23,8 +23,8 @@ SimOptions crash_options(const topo::Topology& topology, u64 seed,
   opts.topology = topology;
   opts.latency = LatencyModel::zero(topology.num_levels());
   opts.seed = seed;
-  opts.max_crashes = max_crashes;
-  opts.crash_chance_permille = chance_permille;
+  opts.faults.max_crashes = max_crashes;
+  opts.faults.crash_chance_permille = chance_permille;
   return opts;
 }
 
@@ -46,7 +46,7 @@ TEST(SimWorldCrash, UnarmedCrashPointIsFreeAndTracesStayBitCompatible) {
         comm.flush(0);
       }
     });
-    EXPECT_EQ(result.crashes, 0u);
+    EXPECT_EQ(result.injected[FaultKind::kCrash], 0u);
     EXPECT_TRUE(result.crashed_ranks.empty());
     return result.schedule;
   };
@@ -74,7 +74,7 @@ TEST(SimWorldCrash, ArmedCrashFailStopsTheVictimAndWindowSurvives) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
   ASSERT_EQ(result.crashed_ranks.size(), 1u);
   EXPECT_EQ(result.crashed_ranks.front(), kVictim);
   EXPECT_EQ(observed, 4242);
@@ -94,7 +94,7 @@ TEST(SimWorldCrash, CrashBudgetCapsInjectionAcrossAllRanks) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
   EXPECT_EQ(result.crashed_ranks.size(), 1u);
   // 5 survivors complete all 5 increments; the victim dies at its first
   // crash point having contributed none.
@@ -103,7 +103,7 @@ TEST(SimWorldCrash, CrashBudgetCapsInjectionAcrossAllRanks) {
 
 TEST(SimWorldCrash, RecordReplayRoundTripsCrashDecisions) {
   // Crash decisions share the picks stream as negative entries
-  // (crash_pick(r) == -(r + 2)); a recorded crashing run must replay
+  // (the crash row: -(r + 2)); a recorded crashing run must replay
   // bit-identically, re-firing the crash at the same decision point.
   const topo::Topology topology = topo::Topology::uniform({}, 4);
   SimOptions record_opts = crash_options(topology, 13, 1, /*chance=*/500);
@@ -119,7 +119,7 @@ TEST(SimWorldCrash, RecordReplayRoundTripsCrashDecisions) {
     }
   };
   const RunResult recorded = world->run(body);
-  ASSERT_EQ(recorded.crashes, 1u);
+  ASSERT_EQ(recorded.injected[FaultKind::kCrash], 1u);
   const bool has_crash_pick =
       std::any_of(recorded.schedule.picks.begin(),
                   recorded.schedule.picks.end(),
@@ -134,7 +134,8 @@ TEST(SimWorldCrash, RecordReplayRoundTripsCrashDecisions) {
   ASSERT_EQ(replay_world->allocate(1), off);
   const RunResult replayed = replay_world->run(body);
   EXPECT_EQ(replayed.replay_divergences, 0u);
-  EXPECT_EQ(replayed.crashes, recorded.crashes);
+  EXPECT_EQ(replayed.injected[FaultKind::kCrash],
+            recorded.injected[FaultKind::kCrash]);
   EXPECT_EQ(replayed.crashed_ranks, recorded.crashed_ranks);
   EXPECT_EQ(replayed.schedule, recorded.schedule);
   EXPECT_EQ(replay_world->read_word(0, off), world->read_word(0, off));
@@ -142,7 +143,7 @@ TEST(SimWorldCrash, RecordReplayRoundTripsCrashDecisions) {
 
 TEST(SimWorldCrash, RestartRerunsTheBodyUnderAFreshIncarnation) {
   auto opts = crash_options(topo::Topology::uniform({}, 4), 17, 1);
-  opts.restart_crashed = true;
+  opts.faults.restart_crashed = true;
   auto world = SimWorld::create(std::move(opts));
   constexpr Rank kVictim = 1;
   std::vector<i32> entries(4, 0);
@@ -154,7 +155,7 @@ TEST(SimWorldCrash, RestartRerunsTheBodyUnderAFreshIncarnation) {
     comm.compute(100);
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
   // The victim rebooted and finished: it is not dead at end of run, and
   // its body ran twice (incarnation 0 died, incarnation 1 completed).
   EXPECT_TRUE(result.crashed_ranks.empty());
@@ -180,7 +181,7 @@ TEST(SimWorldCrash, PerfectDetectorSuspectsExactlyTheCrashed) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
 }
 
 TEST(SimWorldCrash, AdversarialDetectorSuspectsEveryOtherRank) {
@@ -190,7 +191,7 @@ TEST(SimWorldCrash, AdversarialDetectorSuspectsEveryOtherRank) {
   // fencing must still preserve epoch safety.
   auto opts = crash_options(topo::Topology::uniform({}, 4), 23,
                             /*max_crashes=*/0);
-  opts.adversarial_suspicion = true;
+  opts.faults.adversarial_suspicion = true;
   auto world = SimWorld::create(std::move(opts));
   const RunResult result = world->run([&](RmaComm& comm) {
     for (Rank r = 0; r < comm.nprocs(); ++r) {
@@ -198,7 +199,7 @@ TEST(SimWorldCrash, AdversarialDetectorSuspectsEveryOtherRank) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 0u);
 }
 
 TEST(SimWorldCrash, CrashWakesWaitersParkedOnTheVictimsWrite) {
@@ -225,7 +226,7 @@ TEST(SimWorldCrash, CrashWakesWaitersParkedOnTheVictimsWrite) {
     }
   });
   EXPECT_TRUE(result.ok()) << "crash did not wake the parked waiter";
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
 }
 
 TEST(SimWorldCrash, BarrierCompletesAmongSurvivors) {
@@ -241,7 +242,7 @@ TEST(SimWorldCrash, BarrierCompletesAmongSurvivors) {
     ++past_barrier;
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.crashes, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kCrash], 1u);
   EXPECT_EQ(past_barrier, 3);
 }
 

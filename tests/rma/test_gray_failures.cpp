@@ -4,7 +4,7 @@
 // stretch the virtual clock, transient partitions stall blocking ops until
 // the window closes while try_* ops fail fast within their deadline, gray
 // decisions share the picks stream below the tear range
-// (delay_pick(r) == -(P + 64 + 3 + r), part_pick(t) == -(2P + 64 + 3 + t))
+// (delay of r: -(P + 64 + 3 + r), partition of t: -(2P + 64 + 3 + t))
 // and record/replay bit-identically.
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@ SimOptions gray_options(const topo::Topology& topology, u64 seed,
   SimOptions opts;
   opts.topology = topology;
   opts.seed = seed;
-  opts.max_delays = max_delays;
-  opts.max_partitions = max_partitions;
-  opts.delay_chance_permille = chance_permille;
+  opts.faults.max_delays = max_delays;
+  opts.faults.max_partitions = max_partitions;
+  opts.faults.delay_chance_permille = chance_permille;
   return opts;
 }
 
@@ -53,8 +53,8 @@ TEST(SimWorldGray, DisarmedRemoteOpsMakeNoDecisionAndRecordNothing) {
   const WinOffset off = world->allocate(1);
   const RunResult result =
       world->run([&](RmaComm& comm) { contended_body(comm, off, 10); });
-  EXPECT_EQ(result.delays, 0u);
-  EXPECT_EQ(result.partitions, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kDelay], 0u);
+  EXPECT_EQ(result.injected[FaultKind::kPartition], 0u);
   for (const Rank pick : result.schedule.picks) {
     EXPECT_GE(pick, 0) << "fault pick in a disarmed run";
   }
@@ -64,7 +64,7 @@ TEST(SimWorldGray, ArmedDelaysSpendTheBudgetAndStretchTheClock) {
   const topo::Topology topology = topo::Topology::uniform({}, 4);
   const auto makespan = [&](i32 max_delays) {
     auto opts = gray_options(topology, 3, max_delays, /*max_partitions=*/0);
-    opts.delay_factor = 64;
+    opts.faults.delay_factor = 64;
     auto world = SimWorld::create(std::move(opts));
     const WinOffset off = world->allocate(1);
     Nanos end = 0;
@@ -75,7 +75,7 @@ TEST(SimWorldGray, ArmedDelaysSpendTheBudgetAndStretchTheClock) {
     EXPECT_TRUE(result.ok());
     // Chance 1000 permille: every armed remote op injects until the budget
     // is spent — and never past it.
-    EXPECT_EQ(result.delays, static_cast<u64>(max_delays));
+    EXPECT_EQ(result.injected[FaultKind::kDelay], static_cast<u64>(max_delays));
     return end;
   };
   // A straggler completes late rather than failing: x64 op costs must show
@@ -87,7 +87,7 @@ TEST(SimWorldGray, PartitionStallsBlockingOpsUntilTheWindowCloses) {
   constexpr Nanos kSpan = 500'000;
   auto opts = gray_options(topo::Topology::uniform({}, 2), 5,
                            /*max_delays=*/0, /*max_partitions=*/1);
-  opts.partition_span = kSpan;
+  opts.faults.partition_span = kSpan;
   auto world = SimWorld::create(std::move(opts));
   const WinOffset off = world->allocate(1);
   world->init_word(1, off, 42);
@@ -102,7 +102,7 @@ TEST(SimWorldGray, PartitionStallsBlockingOpsUntilTheWindowCloses) {
     }
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.partitions, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kPartition], 1u);
   EXPECT_EQ(value, 42);
   EXPECT_GE(after, kSpan) << "blocking get did not wait out the partition";
 }
@@ -111,7 +111,7 @@ TEST(SimWorldGray, TryOpsFailFastAgainstAPartitionedTarget) {
   constexpr Nanos kSpan = 1'000'000;
   auto opts = gray_options(topo::Topology::uniform({}, 2), 5,
                            /*max_delays=*/0, /*max_partitions=*/1);
-  opts.partition_span = kSpan;
+  opts.faults.partition_span = kSpan;
   auto world = SimWorld::create(std::move(opts));
   const WinOffset off = world->allocate(1);
   world->init_word(1, off, 42);
@@ -132,7 +132,7 @@ TEST(SimWorldGray, TryOpsFailFastAgainstAPartitionedTarget) {
     EXPECT_GE(comm.now_ns(), kSpan);
   });
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.partitions, 1u);
+  EXPECT_EQ(result.injected[FaultKind::kPartition], 1u);
 }
 
 TEST(SimWorldGray, GrayPicksLiveBelowTheTearRange) {
@@ -149,7 +149,9 @@ TEST(SimWorldGray, GrayPicksLiveBelowTheTearRange) {
   const WinOffset off = world->allocate(1);
   const RunResult result =
       world->run([&](RmaComm& comm) { contended_body(comm, off, 20); });
-  ASSERT_GT(result.delays + result.partitions, 0u);
+  ASSERT_GT(result.injected[FaultKind::kDelay] +
+                result.injected[FaultKind::kPartition],
+            0u);
   u64 delay_picks = 0;
   u64 part_picks = 0;
   const Rank delay_base = -(nprocs + kTearPickSpan + 3);
@@ -163,8 +165,8 @@ TEST(SimWorldGray, GrayPicksLiveBelowTheTearRange) {
       EXPECT_GE(pick, part_base - (nprocs - 1)) << "pick below the gray range";
     }
   }
-  EXPECT_EQ(delay_picks, result.delays);
-  EXPECT_EQ(part_picks, result.partitions);
+  EXPECT_EQ(delay_picks, result.injected[FaultKind::kDelay]);
+  EXPECT_EQ(part_picks, result.injected[FaultKind::kPartition]);
 }
 
 TEST(SimWorldGray, RecordReplayRoundTripsGrayDecisions) {
@@ -177,7 +179,9 @@ TEST(SimWorldGray, RecordReplayRoundTripsGrayDecisions) {
   const WinOffset off = world->allocate(1);
   const auto body = [&off](RmaComm& comm) { contended_body(comm, off, 15); };
   const RunResult recorded = world->run(body);
-  ASSERT_GT(recorded.delays + recorded.partitions, 0u);
+  ASSERT_GT(recorded.injected[FaultKind::kDelay] +
+                recorded.injected[FaultKind::kPartition],
+            0u);
 
   SimOptions replay_opts = gray_options(topology, 11, /*max_delays=*/2,
                                         /*max_partitions=*/1, /*chance=*/500);
@@ -188,8 +192,10 @@ TEST(SimWorldGray, RecordReplayRoundTripsGrayDecisions) {
   ASSERT_EQ(replay_world->allocate(1), off);
   const RunResult replayed = replay_world->run(body);
   EXPECT_EQ(replayed.replay_divergences, 0u);
-  EXPECT_EQ(replayed.delays, recorded.delays);
-  EXPECT_EQ(replayed.partitions, recorded.partitions);
+  EXPECT_EQ(replayed.injected[FaultKind::kDelay],
+            recorded.injected[FaultKind::kDelay]);
+  EXPECT_EQ(replayed.injected[FaultKind::kPartition],
+            recorded.injected[FaultKind::kPartition]);
   EXPECT_EQ(replayed.schedule, recorded.schedule);
   EXPECT_EQ(replay_world->read_word(0, off), world->read_word(0, off));
 }
@@ -203,7 +209,8 @@ TEST(SimWorldGray, ArmedRunsAreDeterministicPerSeed) {
     const WinOffset off = world->allocate(1);
     const RunResult result =
         world->run([&](RmaComm& comm) { contended_body(comm, off, 20); });
-    return result.delays * 100 + result.partitions;
+    return result.injected[FaultKind::kDelay] * 100 +
+           result.injected[FaultKind::kPartition];
   };
   EXPECT_EQ(run_once(21), run_once(21));
 }

@@ -1,7 +1,7 @@
 // Torn-read fault-model semantics: disarmed multi-word gets make no
 // decision and record nothing (bit-compatible traces), armed gets respect
 // the tear budget and count injected tears, tear decisions share the picks
-// stream below the crash range (tear_pick(k) == -(P + 2 + k)) and
+// stream below the crash range (tear after k words: -(P + 2 + k)) and
 // record/replay bit-identically, and single-word gets never tear even when
 // armed.
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@ SimOptions tear_options(const topo::Topology& topology, u64 seed,
   opts.topology = topology;
   opts.latency = LatencyModel::zero(topology.num_levels());
   opts.seed = seed;
-  opts.max_tears = max_tears;
-  opts.tear_chance_permille = chance_permille;
+  opts.faults.max_tears = max_tears;
+  opts.faults.tear_chance_permille = chance_permille;
   return opts;
 }
 
@@ -57,7 +57,7 @@ TEST(SimWorldTornRead, DisarmedGetVecMakesNoDecisionAndRecordsNothing) {
   const WinOffset off = world->allocate(4);
   const RunResult result =
       world->run([&](RmaComm& comm) { contended_body(comm, off, 10); });
-  EXPECT_EQ(result.tears, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kTear], 0u);
   const i32 nprocs = 4;
   for (const Rank pick : result.schedule.picks) {
     EXPECT_GT(pick, -(nprocs + 2)) << "tear pick in a disarmed run";
@@ -73,7 +73,7 @@ TEST(SimWorldTornRead, ArmedGetVecTearsWithinBudget) {
   EXPECT_TRUE(result.ok());
   // Chance 1000 permille: every armed multi-word get tears until the
   // budget is spent — and never past it.
-  EXPECT_EQ(result.tears, 2u);
+  EXPECT_EQ(result.injected[FaultKind::kTear], 2u);
 }
 
 TEST(SimWorldTornRead, SingleWordGetVecNeverTears) {
@@ -99,14 +99,14 @@ TEST(SimWorldTornRead, SingleWordGetVecNeverTears) {
       }
     }
   });
-  EXPECT_EQ(result.tears, 0u);
+  EXPECT_EQ(result.injected[FaultKind::kTear], 0u);
   for (const Rank pick : result.schedule.picks) {
     EXPECT_GT(pick, -(2 + 2)) << "tear pick from a single-word get_vec";
   }
 }
 
 TEST(SimWorldTornRead, TearPicksLiveBelowTheCrashRange) {
-  // tear_pick(k) == -(P + 2 + k) for a split after k words: with P == 2
+  // A split after k words records -(P + 2 + k): with P == 2
   // and 4-word vectors, legal tear picks are -5, -6, -7 — strictly below
   // the crash range [-(P + 1), -2] and distinct from scheduler picks >= 0.
   SimOptions opts = tear_options(topo::Topology::uniform({}, 2), 5,
@@ -117,7 +117,7 @@ TEST(SimWorldTornRead, TearPicksLiveBelowTheCrashRange) {
   const WinOffset off = world->allocate(4);
   const RunResult result =
       world->run([&](RmaComm& comm) { contended_body(comm, off, 20); });
-  ASSERT_GT(result.tears, 0u);
+  ASSERT_GT(result.injected[FaultKind::kTear], 0u);
   u64 tear_picks = 0;
   for (const Rank pick : result.schedule.picks) {
     if (pick <= -(2 + 2)) {
@@ -125,7 +125,7 @@ TEST(SimWorldTornRead, TearPicksLiveBelowTheCrashRange) {
       EXPECT_GE(pick, -(2 + 2 + 3)) << "split point past the vector length";
     }
   }
-  EXPECT_EQ(tear_picks, result.tears);
+  EXPECT_EQ(tear_picks, result.injected[FaultKind::kTear]);
 }
 
 TEST(SimWorldTornRead, RecordReplayRoundTripsTearDecisions) {
@@ -137,7 +137,7 @@ TEST(SimWorldTornRead, RecordReplayRoundTripsTearDecisions) {
   const WinOffset off = world->allocate(4);
   const auto body = [&off](RmaComm& comm) { contended_body(comm, off, 15); };
   const RunResult recorded = world->run(body);
-  ASSERT_GT(recorded.tears, 0u);
+  ASSERT_GT(recorded.injected[FaultKind::kTear], 0u);
 
   SimOptions replay_opts = tear_options(topology, 11, 3, /*chance=*/700);
   replay_opts.policy = SchedPolicy::kReplay;
@@ -147,7 +147,8 @@ TEST(SimWorldTornRead, RecordReplayRoundTripsTearDecisions) {
   ASSERT_EQ(replay_world->allocate(4), off);
   const RunResult replayed = replay_world->run(body);
   EXPECT_EQ(replayed.replay_divergences, 0u);
-  EXPECT_EQ(replayed.tears, recorded.tears);
+  EXPECT_EQ(replayed.injected[FaultKind::kTear],
+            recorded.injected[FaultKind::kTear]);
   EXPECT_EQ(replayed.schedule, recorded.schedule);
   for (WinOffset w = 0; w < 4; ++w) {
     EXPECT_EQ(replay_world->read_word(0, off + w),
@@ -163,7 +164,7 @@ TEST(SimWorldTornRead, ArmedRunsAreDeterministicPerSeed) {
     const WinOffset off = world->allocate(4);
     const RunResult result =
         world->run([&](RmaComm& comm) { contended_body(comm, off, 20); });
-    return result.tears;
+    return result.injected[FaultKind::kTear];
   };
   EXPECT_EQ(run_once(21), run_once(21));
 }

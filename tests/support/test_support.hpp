@@ -1,7 +1,12 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "rma/sim_world.hpp"
 #include "rma/thread_world.hpp"
@@ -33,6 +38,24 @@ inline std::unique_ptr<rma::ThreadWorld> make_threads(topo::Topology topology,
   opts.topology = std::move(topology);
   opts.seed = seed;
   return rma::ThreadWorld::create(std::move(opts));
+}
+
+/// A scratch path unique to the running test. gtest's TempDir() is shared
+/// by every test process ctest runs in parallel, so a fixed file name there
+/// lets one test overwrite or delete another's file.
+inline std::string test_temp_path(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name =
+      std::string(info->test_suite_name()) + "." + info->name() + suffix;
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
+  return ::testing::TempDir() + name;
+}
+
+/// A directory unique to the running test (see test_temp_path), created.
+inline std::string test_temp_dir() {
+  const std::string dir = test_temp_path(".d");
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 }  // namespace rmalock::test
