@@ -103,12 +103,13 @@ rma::SimOptions replay_options(const CheckConfig& config, u64 world_seed,
   return opts;
 }
 
-ScheduleOutcome run_rw_schedule(const CheckConfig& config,
-                                const RwLockFactory& factory,
-                                const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
+namespace {
+
+/// Rank -> writer role. Pinned config.writer_roles (checked against the
+/// machine size) win; otherwise a random role per (world seed, rank), as
+/// in the paper's §4.4 setup — schedule-independent so a replay under the
+/// same seed keeps the roles.
+auto writer_role(const CheckConfig& config, const rma::SimOptions& opts) {
   if (!config.writer_roles.empty()) {
     RMALOCK_CHECK_MSG(
         config.writer_roles.size() ==
@@ -116,388 +117,369 @@ ScheduleOutcome run_rw_schedule(const CheckConfig& config,
         "writer_roles has " << config.writer_roles.size() << " entries for "
                             << config.topology.nprocs() << " processes");
   }
-  // Random role per (world seed, rank), as in the paper's §4.4 setup —
-  // schedule-independent so a replay under the same seed keeps the roles.
-  const auto is_writer = [&](Rank rank) {
+  return [&config, seed = opts.seed](Rank rank) {
     if (!config.writer_roles.empty()) {
       return bool{config.writer_roles[static_cast<usize>(rank)]};
     }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
+    Xoshiro256 rng(mix_seed(seed, 0xAB0 + static_cast<u64>(rank)));
     return rng.uniform() < config.writer_fraction;
   };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      if (writer) {
-        lock->acquire_write(comm);
-        monitor.enter_write();
-        comm.compute(10);  // scheduling point: keeps the CS observable
-        monitor.exit_write();
-        lock->release_write(comm);
-      } else {
-        lock->acquire_read(comm);
-        monitor.enter_read();
-        comm.compute(10);
-        monitor.exit_read();
-        lock->release_read(comm);
-      }
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
 }
 
-ScheduleOutcome run_lockspace_schedule(const CheckConfig& config,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       const rma::SimOptions& opts) {
+/// One CsMonitor per key — mutual exclusion is a per-key property — plus
+/// the holders/distinct tally that witnesses cross-key concurrency.
+/// SimWorld runs fibers serially between RMA calls, so plain counters are
+/// exact.
+class KeyMonitors {
+ public:
+  explicit KeyMonitors(usize keys) : monitors_(keys), holders_(keys, 0) {}
+
+  void enter(usize ki, bool write) {
+    write ? monitors_[ki].enter_write() : monitors_[ki].enter_read();
+    if (holders_[ki]++ == 0) {
+      ++distinct_held_;
+      max_distinct_held_ =
+          std::max(max_distinct_held_, static_cast<u64>(distinct_held_));
+    }
+  }
+  void exit(usize ki, bool write) {
+    if (--holders_[ki] == 0) --distinct_held_;
+    write ? monitors_[ki].exit_write() : monitors_[ki].exit_read();
+  }
+
+  /// Folds every key's violations and entries, and the peak number of
+  /// distinct keys held at once, into `outcome`.
+  void fold_into(ScheduleOutcome& outcome) const {
+    for (const CsMonitor& monitor : monitors_) {
+      outcome.mutex_violations += monitor.violations();
+      outcome.cs_entries += monitor.entries();
+    }
+    outcome.max_distinct_keys_held = max_distinct_held_;
+  }
+
+ private:
+  std::vector<CsMonitor> monitors_;
+  std::vector<i64> holders_;
+  i64 distinct_held_ = 0;
+  u64 max_distinct_held_ = 0;
+};
+
+/// Index of the key process `rank` targets on its `i`-th acquisition.
+usize key_index(Rank rank, i32 i, usize keys) {
+  return (static_cast<usize>(rank) + static_cast<usize>(i)) % keys;
+}
+
+}  // namespace
+
+Workload Workload::rw(RwLockFactory factory) {
+  return Workload([factory = std::move(factory)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    const auto is_writer = writer_role(config, opts);
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(comm.rank());
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        if (writer) {
+          lock->acquire_write(comm);
+          monitor.enter_write();
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          monitor.exit_write();
+          lock->release_write(comm);
+        } else {
+          lock->acquire_read(comm);
+          monitor.enter_read();
+          comm.compute(10);
+          monitor.exit_read();
+          lock->release_read(comm);
+        }
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
+  });
+}
+
+Workload Workload::keyed(LockSpaceFactory factory, std::vector<u64> keys) {
   RMALOCK_CHECK_MSG(!keys.empty(), "lockspace workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  if (!config.writer_roles.empty()) {
-    RMALOCK_CHECK_MSG(
-        config.writer_roles.size() ==
-            static_cast<usize>(config.topology.nprocs()),
-        "writer_roles has " << config.writer_roles.size() << " entries for "
-                            << config.topology.nprocs() << " processes");
-  }
-  const auto is_writer = [&](Rank rank) {
-    if (!config.writer_roles.empty()) {
-      return bool{config.writer_roles[static_cast<usize>(rank)]};
-    }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
-    return rng.uniform() < config.writer_fraction;
-  };
-  // One monitor per key: mutual exclusion is a per-key property. The
-  // holders/distinct tally witnesses cross-key concurrency — SimWorld runs
-  // fibers serially between RMA calls, so plain counters are exact.
-  std::vector<CsMonitor> monitors(keys.size());
-  std::vector<i64> holders(keys.size(), 0);
-  i64 distinct_held = 0;
-  u64 max_distinct_held = 0;
-  const auto enter_key = [&](usize ki) {
-    if (holders[ki]++ == 0) {
-      ++distinct_held;
-      max_distinct_held =
-          std::max(max_distinct_held, static_cast<u64>(distinct_held));
-    }
-  };
-  const auto exit_key = [&](usize ki) {
-    if (--holders[ki] == 0) --distinct_held;
-  };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const usize ki = (static_cast<usize>(comm.rank()) +
-                        static_cast<usize>(i)) %
-                       keys.size();
-      const u64 key = keys[ki];
-      if (writer || !space->rw_capable()) {
-        space->acquire(comm, key);
-        monitors[ki].enter_write();
-        enter_key(ki);
-        comm.compute(10);  // scheduling point: keeps the CS observable
-        exit_key(ki);
-        monitors[ki].exit_write();
-        space->release(comm, key);
-      } else {
-        space->acquire_read(comm, key);
-        monitors[ki].enter_read();
-        enter_key(ki);
-        comm.compute(10);
-        exit_key(ki);
-        monitors[ki].exit_read();
-        space->release_read(comm, key);
+  return Workload([factory = std::move(factory), keys = std::move(keys)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    const auto is_writer = writer_role(config, opts);
+    KeyMonitors monitors(keys.size());
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(comm.rank());
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const usize ki = key_index(comm.rank(), i, keys.size());
+        const u64 key = keys[ki];
+        if (writer || !space->rw_capable()) {
+          space->acquire(comm, key);
+          monitors.enter(ki, /*write=*/true);
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          monitors.exit(ki, /*write=*/true);
+          space->release(comm, key);
+        } else {
+          space->acquire_read(comm, key);
+          monitors.enter(ki, /*write=*/false);
+          comm.compute(10);
+          monitors.exit(ki, /*write=*/false);
+          space->release_read(comm, key);
+        }
       }
-    }
+    });
+    monitors.fold_into(outcome);
+    outcome.lock_name = space->describe();
+    return outcome;
   });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.max_distinct_keys_held = max_distinct_held;
-  outcome.lock_name = space->describe();
-  return outcome;
 }
 
-ScheduleOutcome run_optimistic_schedule(const CheckConfig& config,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        const rma::SimOptions& opts) {
+Workload Workload::optimistic(LockSpaceFactory factory,
+                              std::vector<u64> keys) {
   RMALOCK_CHECK_MSG(!keys.empty(), "optimistic workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  RMALOCK_CHECK_MSG(space->optimistic_capable(),
-                    "optimistic workload needs payload_words > 0");
-  const usize payload = static_cast<usize>(space->payload_words());
-  if (!config.writer_roles.empty()) {
-    RMALOCK_CHECK_MSG(
-        config.writer_roles.size() ==
-            static_cast<usize>(config.topology.nprocs()),
-        "writer_roles has " << config.writer_roles.size() << " entries for "
-                            << config.topology.nprocs() << " processes");
-  }
-  const auto is_writer = [&](Rank rank) {
-    if (!config.writer_roles.empty()) {
-      return bool{config.writer_roles[static_cast<usize>(rank)]};
-    }
-    Xoshiro256 rng(mix_seed(opts.seed, 0xAB0 + static_cast<u64>(rank)));
-    return rng.uniform() < config.writer_fraction;
-  };
-  // Write-side mutual exclusion stays a per-key CsMonitor property; the
-  // lock-free readers are instead checked for snapshot consistency: every
-  // payload a read returns must be non-increasing along the word index
-  // (writers publish ascending-order, monotone-generation words — see
-  // OptimisticReadMonitor). Both fold into mutex_violations.
-  std::vector<CsMonitor> monitors(keys.size());
-  OptimisticReadMonitor read_monitor;
-  std::vector<i64> holders(keys.size(), 0);
-  i64 distinct_held = 0;
-  u64 max_distinct_held = 0;
-  const auto enter_key = [&](usize ki) {
-    if (holders[ki]++ == 0) {
-      ++distinct_held;
-      max_distinct_held =
-          std::max(max_distinct_held, static_cast<u64>(distinct_held));
-    }
-  };
-  const auto exit_key = [&](usize ki) {
-    if (--holders[ki] == 0) --distinct_held;
-  };
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const bool writer = is_writer(comm.rank());
-    std::vector<i64> buf(payload, 0);
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const usize ki = (static_cast<usize>(comm.rank()) +
-                        static_cast<usize>(i)) %
-                       keys.size();
-      const u64 key = keys[ki];
-      if (writer) {
-        space->acquire(comm, key);
-        monitors[ki].enter_write();
-        enter_key(ki);
-        // Next generation for this key: completed write sessions so far
-        // plus one (version is even and == 2 * sessions under the lock).
-        const i64 gen = space->payload_version(comm, key) / 2 + 1;
-        std::fill(buf.begin(), buf.end(), gen);
-        space->write_payload(comm, key, buf.data(), payload);
+  return Workload([factory = std::move(factory), keys = std::move(keys)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    RMALOCK_CHECK_MSG(space->optimistic_capable(),
+                      "optimistic workload needs payload_words > 0");
+    const usize payload = static_cast<usize>(space->payload_words());
+    const auto is_writer = writer_role(config, opts);
+    // Write-side mutual exclusion stays a per-key CsMonitor property; the
+    // lock-free readers are instead checked for snapshot consistency: every
+    // payload a read returns must be non-increasing along the word index
+    // (writers publish ascending-order, monotone-generation words — see
+    // OptimisticReadMonitor). Both fold into mutex_violations.
+    KeyMonitors monitors(keys.size());
+    OptimisticReadMonitor read_monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const bool writer = is_writer(comm.rank());
+      std::vector<i64> buf(payload, 0);
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const usize ki = key_index(comm.rank(), i, keys.size());
+        const u64 key = keys[ki];
+        if (writer) {
+          space->acquire(comm, key);
+          monitors.enter(ki, /*write=*/true);
+          // Next generation for this key: completed write sessions so far
+          // plus one (version is even and == 2 * sessions under the lock).
+          const i64 gen = space->payload_version(comm, key) / 2 + 1;
+          std::fill(buf.begin(), buf.end(), gen);
+          space->write_payload(comm, key, buf.data(), payload);
+          comm.compute(10);  // scheduling point: keeps the CS observable
+          monitors.exit(ki, /*write=*/true);
+          space->release(comm, key);
+        } else {
+          space->optimistic_read(comm, key, buf.data(), payload);
+          read_monitor.record(buf.data(), payload);
+        }
+      }
+    });
+    monitors.fold_into(outcome);
+    outcome.mutex_violations += read_monitor.violations();
+    outcome.cs_entries += read_monitor.reads();
+    outcome.lock_name = space->describe();
+    return outcome;
+  });
+}
+
+Workload Workload::exclusive(ExclusiveLockFactory factory) {
+  return Workload([factory = std::move(factory)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        lock->acquire(comm);
+        monitor.enter();
         comm.compute(10);  // scheduling point: keeps the CS observable
-        exit_key(ki);
-        monitors[ki].exit_write();
-        space->release(comm, key);
-      } else {
-        space->optimistic_read(comm, key, buf.data(), payload);
-        read_monitor.record(buf.data(), payload);
+        monitor.exit();
+        lock->release(comm);
       }
-    }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
   });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.mutex_violations += read_monitor.violations();
-  outcome.cs_entries += read_monitor.reads();
-  outcome.max_distinct_keys_held = max_distinct_held;
-  outcome.lock_name = space->describe();
-  return outcome;
 }
 
-ScheduleOutcome run_exclusive_schedule(const CheckConfig& config,
-                                       const ExclusiveLockFactory& factory,
-                                       const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      lock->acquire(comm);
-      monitor.enter();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitor.exit();
-      lock->release(comm);
-    }
+Workload Workload::lease(LeaseLockFactory factory) {
+  return Workload([factory = std::move(factory)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    EpochMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        comm.crash_point();  // may die right before competing for the lease
+        const i64 epoch = lock->acquire_epoch(comm);
+        monitor.enter(epoch);
+        comm.compute(10);  // scheduling point: keeps the CS observable
+        comm.crash_point();  // may die mid-CS — the unwind skips exit() and
+                             // release(), so the epoch stays active and the
+                             // lease is orphaned until a survivor fences it
+        monitor.exit(epoch);
+        lock->release(comm);
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
   });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
 }
 
-ScheduleOutcome run_lease_schedule(const CheckConfig& config,
-                                   const LeaseLockFactory& factory,
-                                   const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  EpochMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      comm.crash_point();  // may die right before competing for the lease
-      const i64 epoch = lock->acquire_epoch(comm);
-      monitor.enter(epoch);
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      comm.crash_point();  // may die mid-CS — the unwind skips exit() and
-                           // release(), so the epoch stays active and the
-                           // lease is orphaned until a survivor fences it
-      monitor.exit(epoch);
-      lock->release(comm);
-    }
+Workload Workload::timed(ExclusiveLockFactory factory) {
+  return Workload([factory = std::move(factory)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto lock = factory(*world);
+    CsMonitor monitor;
+    LivelockMonitor livelock(kLivelockBound);
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      for (i32 round = 0; round < config.timeout_retry_rounds; ++round) {
+        const Nanos deadline = comm.now_ns() + kAcquireTimeoutNs;
+        const locks::AcquireResult r =
+            lock->try_acquire_for(comm, deadline, config.retry);
+        livelock.record(comm.rank(), r.attempts, r.ok());
+        if (!r.ok()) continue;  // timed out: the round's budget is spent
+        monitor.enter();
+        comm.compute(10);  // scheduling point: keeps the CS observable
+        monitor.exit();
+        lock->release(comm);
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.livelock_violations = livelock.violations();
+    outcome.cs_entries = monitor.entries();
+    outcome.lock_name = lock->name();
+    return outcome;
   });
-  outcome.mutex_violations = monitor.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
 }
 
-ScheduleOutcome run_timeout_schedule(const CheckConfig& config,
-                                     const ExclusiveLockFactory& factory,
+Workload Workload::drift(DriftLeaseFactory factory) {
+  return Workload(
+      [factory = std::move(factory)](const CheckConfig& config,
                                      const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  const auto lock = factory(*world);
-  CsMonitor monitor;
-  LivelockMonitor livelock(config.livelock_bound);
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    for (i32 round = 0; round < config.timeout_retry_rounds; ++round) {
-      const Nanos deadline = comm.now_ns() + config.acquire_timeout_ns;
-      const locks::AcquireResult r =
-          lock->try_acquire_for(comm, deadline, config.retry);
-      livelock.record(comm.rank(), r.attempts, r.ok());
-      if (!r.ok()) continue;  // timed out: the round's budget is spent
-      monitor.enter();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitor.exit();
-      lock->release(comm);
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.livelock_violations = livelock.violations();
-  outcome.cs_entries = monitor.entries();
-  outcome.lock_name = lock->name();
-  return outcome;
+    auto world = rma::SimWorld::create(opts);
+    DriftLeaseSubject subject = factory(*world);
+    RMALOCK_CHECK(subject.lease != nullptr && subject.space != nullptr);
+    RMALOCK_CHECK_MSG(subject.space->optimistic_capable(),
+                      "drift workload needs payload_words > 0");
+    const usize payload = static_cast<usize>(subject.space->payload_words());
+    const Nanos duration = subject.lease->params().duration_ns;
+    const Nanos margin = subject.lease->params().safety_margin_ns;
+    // Pace the hold so the last write lands AT the belief boundary: each
+    // round checks still_valid, ages the belief by a quarter duration, THEN
+    // writes — the check-then-act pattern every real lease client has. With
+    // honest clocks the claimant's reclaim_grace_ns covers that in-flight
+    // final write; a drift-slow clock stretches the same local schedule past
+    // the grace in real time, and THOSE are the stale writes the fencing
+    // token exists to reject.
+    const Nanos chunk = std::max<Nanos>(1, duration / 4);
+    WallClockLeaseMonitor monitor;
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      std::vector<i64> buf(payload, 0);
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        const i64 token = subject.lease->acquire_token(comm);
+        monitor.session_begin(comm.rank(), comm.now_ns());
+        // A well-behaved client: writes only while it believes the grant
+        // valid on its own clock, and stamps every write with its token.
+        // What it cannot know is whether its clock made the belief a lie —
+        // deciding that is the resource's (and the monitor's) job.
+        for (i32 w = 0; w < 8; ++w) {
+          if (!subject.lease->still_valid(comm)) break;
+          // A fresh grantee writes immediately; later rounds age the belief
+          // first, so a lying clock's final round writes past the boundary.
+          if (w > 0) comm.compute(chunk);
+          std::fill(buf.begin(), buf.end(), token);
+          i64 admitted = 0;
+          const bool accepted = subject.space->write_payload_fenced(
+              comm, subject.key, token, buf.data(), payload, &admitted);
+          monitor.commit(token, accepted,
+                         admitted & lockspace::LockSpace::kTokenSeqMask);
+          if (!accepted) break;  // fenced out: this grant is stale
+        }
+        monitor.session_end(comm.rank(), comm.now_ns());
+        // Rank-staggered holds are ABANDONED — the holder walks away
+        // without releasing (a stalled client), so the next claimant must
+        // reclaim by time. Staggering by rank keeps one releasing rank per
+        // round; if every rank abandoned the same rounds the fleet would
+        // phase-lock into self-re-takes and no timed reclaim would ever
+        // happen. The abandoner sits out past every claimant's reclaim point
+        // (with a jittered tail so reclaims never tie-break against
+        // self-re-takes) so it does not simply re-take its own lease.
+        if ((i + comm.rank()) % 2 == 0) {
+          subject.lease->release(comm);
+        } else {
+          comm.compute(2 * (duration + margin) +
+                       static_cast<Nanos>(
+                           comm.rng().below(static_cast<u64>(duration))));
+        }
+      }
+    });
+    outcome.mutex_violations = monitor.violations();
+    outcome.stale_token_commits = monitor.stale_commits();
+    outcome.cs_entries = monitor.writes();
+    outcome.lock_name = subject.lease->name();
+    return outcome;
+  }, rma::SchedPolicy::kVirtualTime);
 }
 
-ScheduleOutcome run_drift_schedule(const CheckConfig& config,
-                                   const DriftLeaseFactory& factory,
-                                   const rma::SimOptions& opts) {
-  auto world = rma::SimWorld::create(opts);
-  DriftLeaseSubject subject = factory(*world);
-  RMALOCK_CHECK(subject.lease != nullptr && subject.space != nullptr);
-  RMALOCK_CHECK_MSG(subject.space->optimistic_capable(),
-                    "drift workload needs payload_words > 0");
-  const usize payload = static_cast<usize>(subject.space->payload_words());
-  const Nanos duration = subject.lease->params().duration_ns;
-  const Nanos margin = subject.lease->params().safety_margin_ns;
-  // Pace the hold so the last write lands AT the belief boundary: each
-  // round checks still_valid, ages the belief by a quarter duration, THEN
-  // writes — the check-then-act pattern every real lease client has. With
-  // honest clocks the claimant's reclaim_grace_ns covers that in-flight
-  // final write; a drift-slow clock stretches the same local schedule past
-  // the grace in real time, and THOSE are the stale writes the fencing
-  // token exists to reject.
-  const Nanos chunk = std::max<Nanos>(1, duration / 4);
-  WallClockLeaseMonitor monitor;
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    std::vector<i64> buf(payload, 0);
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      const i64 token = subject.lease->acquire_token(comm);
-      monitor.session_begin(comm.rank(), comm.now_ns());
-      // A well-behaved client: writes only while it believes the grant
-      // valid on its own clock, and stamps every write with its token.
-      // What it cannot know is whether its clock made the belief a lie —
-      // deciding that is the resource's (and the monitor's) job.
-      for (i32 w = 0; w < 8; ++w) {
-        if (!subject.lease->still_valid(comm)) break;
-        // A fresh grantee writes immediately; later rounds age the belief
-        // first, so a lying clock's final round writes past the boundary.
-        if (w > 0) comm.compute(chunk);
-        std::fill(buf.begin(), buf.end(), token);
-        i64 admitted = 0;
-        const bool accepted = subject.space->write_payload_fenced(
-            comm, subject.key, token, buf.data(), payload, &admitted);
-        monitor.commit(token, accepted,
-                       admitted & lockspace::LockSpace::kTokenSeqMask);
-        if (!accepted) break;  // fenced out: this grant is stale
-      }
-      monitor.session_end(comm.rank(), comm.now_ns());
-      // Rank-staggered holds are ABANDONED — the holder walks away without
-      // releasing (a stalled client), so the next claimant must reclaim by
-      // time. Staggering by rank keeps one releasing rank per round; if
-      // every rank abandoned the same rounds the fleet would phase-lock
-      // into self-re-takes and no timed reclaim would ever happen. The
-      // abandoner sits out past every claimant's reclaim point (with a
-      // jittered tail so reclaims never tie-break against self-re-takes)
-      // so it does not simply re-take its own lease.
-      if ((i + comm.rank()) % 2 == 0) {
-        subject.lease->release(comm);
-      } else {
-        comm.compute(2 * (duration + margin) +
-                     static_cast<Nanos>(
-                         comm.rng().below(static_cast<u64>(duration))));
-      }
-    }
-  });
-  outcome.mutex_violations = monitor.violations();
-  outcome.stale_token_commits = monitor.stale_commits();
-  outcome.cs_entries = monitor.writes();
-  outcome.lock_name = subject.lease->name();
-  return outcome;
-}
-
-ScheduleOutcome run_rehome_schedule(const CheckConfig& config,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    const rma::SimOptions& opts) {
+Workload Workload::rehome(LockSpaceFactory factory, std::vector<u64> keys) {
   RMALOCK_CHECK_MSG(!keys.empty(), "rehome workload needs >= 1 key");
-  auto world = rma::SimWorld::create(opts);
-  const auto space = factory(*world);
-  RMALOCK_CHECK_MSG(space->config().rehome_epochs >= 1,
-                    "rehome workload needs rehome_epochs >= 1");
-  const Rank nprocs = config.topology.nprocs();
-  // Per-key monitors, plane-agnostic: an old-plane owner concurrent with a
-  // new-plane owner of the same key is exactly a mutex violation here.
-  std::vector<CsMonitor> monitors(keys.size());
-  LivelockMonitor livelock(config.livelock_bound);
-  ScheduleOutcome outcome;
-  outcome.run = world->run([&](rma::RmaComm& comm) {
-    const Rank me = comm.rank();
-    const bool migrator = me == nprocs - 1;
-    for (i32 i = 0; i < config.acquires_per_proc; ++i) {
-      if (migrator && i == config.acquires_per_proc / 2) {
-        // Mid-run migration of the first key's shard to its successor
-        // home; a generous drain budget so only a wedged holder aborts it.
-        const i32 shard = space->resolve(keys[0]).shard;
-        (void)space->rehome_shard(comm, shard,
-                                  10 * config.acquire_timeout_ns);
+  return Workload([factory = std::move(factory), keys = std::move(keys)](
+                      const CheckConfig& config, const rma::SimOptions& opts) {
+    auto world = rma::SimWorld::create(opts);
+    const auto space = factory(*world);
+    RMALOCK_CHECK_MSG(space->config().rehome_epochs >= 1,
+                      "rehome workload needs rehome_epochs >= 1");
+    const Rank nprocs = config.topology.nprocs();
+    // Per-key monitors, plane-agnostic: an old-plane owner concurrent with
+    // a new-plane owner of the same key is exactly a mutex violation here.
+    KeyMonitors monitors(keys.size());
+    LivelockMonitor livelock(kLivelockBound);
+    ScheduleOutcome outcome;
+    outcome.run = world->run([&](rma::RmaComm& comm) {
+      const Rank me = comm.rank();
+      const bool migrator = me == nprocs - 1;
+      for (i32 i = 0; i < config.acquires_per_proc; ++i) {
+        if (migrator && i == config.acquires_per_proc / 2) {
+          // Mid-run migration of the first key's shard to its successor
+          // home; a generous drain budget so only a wedged holder aborts it.
+          const i32 shard = space->resolve(keys[0]).shard;
+          (void)space->rehome_shard(comm, shard, 10 * kAcquireTimeoutNs);
+        }
+        const usize ki = key_index(me, i, keys.size());
+        const u64 key = keys[ki];
+        const Nanos deadline = comm.now_ns() + kAcquireTimeoutNs;
+        const locks::AcquireResult r =
+            space->try_acquire_for(comm, key, deadline, config.retry);
+        livelock.record(me, r.attempts, r.ok());
+        if (!r.ok()) continue;  // timeout or degraded: budget spent
+        monitors.enter(ki, /*write=*/true);
+        comm.compute(10);  // scheduling point: keeps the CS observable
+        monitors.exit(ki, /*write=*/true);
+        space->release(comm, key);
       }
-      const usize ki =
-          (static_cast<usize>(me) + static_cast<usize>(i)) % keys.size();
-      const u64 key = keys[ki];
-      const Nanos deadline = comm.now_ns() + config.acquire_timeout_ns;
-      const locks::AcquireResult r =
-          space->try_acquire_for(comm, key, deadline, config.retry);
-      livelock.record(me, r.attempts, r.ok());
-      if (!r.ok()) continue;  // timeout or degraded: budget spent
-      monitors[ki].enter_write();
-      comm.compute(10);  // scheduling point: keeps the CS observable
-      monitors[ki].exit_write();
-      space->release(comm, key);
-    }
+    });
+    monitors.fold_into(outcome);
+    outcome.livelock_violations = livelock.violations();
+    outcome.lock_name = space->describe();
+    return outcome;
   });
-  for (const CsMonitor& monitor : monitors) {
-    outcome.mutex_violations += monitor.violations();
-    outcome.cs_entries += monitor.entries();
-  }
-  outcome.livelock_violations = livelock.violations();
-  outcome.lock_name = space->describe();
-  return outcome;
 }
 
 void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome) {
@@ -548,12 +530,14 @@ std::string failure_trace_path(const CheckConfig& config,
 
 }  // namespace
 
-void capture_first_failure(
-    CheckReport& report, const CheckConfig& config,
-    const ScheduleOutcome& outcome, u64 schedule_index,
-    const rma::SimOptions& opts,
-    const std::function<ScheduleOutcome(const rma::SimOptions&)>& rerun) {
+void capture_first_failure(CheckReport& report, const CheckConfig& config,
+                           const Workload& workload,
+                           const ScheduleOutcome& outcome, u64 schedule_index,
+                           const rma::SimOptions& opts) {
   if (report.has_first_failure || !outcome.failed()) return;
+  const auto rerun = [&](const rma::SimOptions& rerun_opts) {
+    return workload(config, rerun_opts);
+  };
   FirstFailure failure;
   failure.kind = outcome.kind();
   failure.lock_name = outcome.lock_name;
@@ -561,7 +545,7 @@ void capture_first_failure(
   failure.schedule_index = schedule_index;
   failure.world_seed = opts.seed;
   failure.trace = outcome.run.schedule;
-  if (failure.trace.empty() && config.record_traces && !opts.pick_hook) {
+  if (failure.trace.empty() && !opts.pick_hook) {
     // The failing run was not recorded (randomized campaigns skip recording
     // on the hot path): re-execute it deterministically with recording on.
     rma::SimOptions record_opts = opts;
@@ -582,7 +566,7 @@ void capture_first_failure(
       return replayed.run.deadlocked;
     };
     failure.trace =
-        shrink_trace(failure.trace, oracle, config.max_shrink_replays);
+        shrink_trace(failure.trace, oracle, kMaxShrinkReplays);
   }
 
   // Flight recorder: re-run the (shrunk) counterexample once with the event
@@ -647,11 +631,6 @@ void capture_first_failure(
   report.first_failure = std::move(failure);
 }
 
-namespace {
-
-/// Shared driver for the randomized campaigns. `run_one` executes one
-/// schedule under the given options (workload + factory already bound).
-///
 /// Sequential (jobs == 1) and parallel (jobs > 1) paths are observably
 /// identical: schedule i's options depend only on (config, i), the
 /// parallel path collects outcomes into per-index slots, and folding /
@@ -659,23 +638,20 @@ namespace {
 /// writing) always happens on the calling thread, in index order — so the
 /// reported first failure is the smallest failing schedule index no matter
 /// which worker finished first.
-template <typename RunOne>
-CheckReport check_campaign(const CheckConfig& config, const RunOne& run_one) {
+CheckReport check(const CheckConfig& config, const Workload& workload) {
   CheckReport report;
   // The schedule-invariant option parts (topology copy, latency model,
   // PCT horizon) are built once, outside the hot schedule loop; per
   // schedule only the world seed changes.
   rma::SimOptions opts = schedule_options(config, 0);
-  const auto rerun = [&](const rma::SimOptions& replay_opts) {
-    return run_one(replay_opts);
-  };
   const i32 jobs = harness::TaskPool::resolve_jobs(config.jobs);
   if (jobs <= 1 || config.schedules <= 1) {
     for (u64 schedule = 0; schedule < config.schedules; ++schedule) {
       opts.seed = mix_seed(config.base_seed, schedule);
-      const ScheduleOutcome outcome = run_one(opts);
+      const ScheduleOutcome outcome = workload(config, opts);
       fold_outcome(report, outcome);
-      capture_first_failure(report, config, outcome, schedule, opts, rerun);
+      capture_first_failure(report, config, workload, outcome, schedule,
+                            opts);
     }
     return report;
   }
@@ -684,75 +660,15 @@ CheckReport check_campaign(const CheckConfig& config, const RunOne& run_one) {
   pool.run(config.schedules, [&](u64 schedule) {
     rma::SimOptions task_opts = opts;  // private copy per task
     task_opts.seed = mix_seed(config.base_seed, schedule);
-    slots[static_cast<usize>(schedule)] = run_one(task_opts);
+    slots[static_cast<usize>(schedule)] = workload(config, task_opts);
   });
   for (u64 schedule = 0; schedule < config.schedules; ++schedule) {
     opts.seed = mix_seed(config.base_seed, schedule);
     fold_outcome(report, slots[static_cast<usize>(schedule)]);
-    capture_first_failure(report, config, slots[static_cast<usize>(schedule)],
-                          schedule, opts, rerun);
+    capture_first_failure(report, config, workload,
+                          slots[static_cast<usize>(schedule)], schedule, opts);
   }
   return report;
-}
-
-}  // namespace
-
-CheckReport check_rw(const CheckConfig& config, const RwLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_rw_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_exclusive(const CheckConfig& config,
-                            const ExclusiveLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_exclusive_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_lease(const CheckConfig& config,
-                        const LeaseLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_lease_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_lockspace(const CheckConfig& config,
-                            const LockSpaceFactory& factory,
-                            const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_lockspace_schedule(config, factory, keys, opts);
-  });
-}
-
-CheckReport check_optimistic(const CheckConfig& config,
-                             const LockSpaceFactory& factory,
-                             const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_optimistic_schedule(config, factory, keys, opts);
-  });
-}
-
-CheckReport check_timeout(const CheckConfig& config,
-                          const ExclusiveLockFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_timeout_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_drift(const CheckConfig& config,
-                        const DriftLeaseFactory& factory) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_drift_schedule(config, factory, opts);
-  });
-}
-
-CheckReport check_rehome(const CheckConfig& config,
-                         const LockSpaceFactory& factory,
-                         const std::vector<u64>& keys) {
-  return check_campaign(config, [&](const rma::SimOptions& opts) {
-    return run_rehome_schedule(config, factory, keys, opts);
-  });
 }
 
 std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,

@@ -40,6 +40,19 @@
 
 namespace rmalock::mc {
 
+/// Per-round deadline budget of the timed-acquire workloads
+/// (Workload::timed / Workload::rehome), in virtual nanoseconds. Under the
+/// checker's zero-latency network only compute() — i.e. backoff — advances
+/// the clock toward it (see mc::LivelockMonitor).
+inline constexpr Nanos kAcquireTimeoutNs = 60'000;
+/// LivelockMonitor bound of the timed workloads: cumulative attempts
+/// without an acquire before a rank is declared livelocked. Correct backoff
+/// stays ~an order of magnitude below; the no-backoff bug blows through it
+/// via the RetryPolicy::max_attempts valve.
+inline constexpr u64 kLivelockBound = 128;
+/// Replay budget for ddmin-shrinking a first failure.
+inline constexpr u64 kMaxShrinkReplays = 2000;
+
 struct CheckConfig {
   topo::Topology topology = topo::Topology::uniform({2, 2}, 2);
   rma::SchedPolicy policy = rma::SchedPolicy::kRandom;
@@ -56,40 +69,27 @@ struct CheckConfig {
   /// Explicit per-rank roles for rw workloads (size == nprocs); empty =
   /// random roles via writer_fraction. Lets tests and the exhaustive
   /// explorer pin a reader/writer mix instead of depending on the seed.
-  std::vector<bool> writer_roles;
+  std::vector<bool> writer_roles{};
   i32 pct_change_points = 3;
-  /// Record every schedule so the first failure carries a replayable trace.
-  bool record_traces = true;
   /// ddmin-shrink the first failing trace to a minimal counterexample.
   bool shrink_failures = true;
-  /// Replay budget for shrinking (0 = unbounded).
-  u64 max_shrink_replays = 2000;
   /// If non-empty, write the first failing (shrunk) trace as a
   /// "rmalock-trace v1" file into this directory and report its path
   /// (mc_verification + the CI artifact upload use this).
-  std::string trace_dir;
+  std::string trace_dir{};
   /// Workload id stamped into written trace files; mc_verification
-  /// --replay maps it back to a lock factory.
-  std::string workload_id;
-  /// Fault models armed in every schedule; all off by default. check_lease
-  /// exercises crashes, check_optimistic tears, check_timeout/check_rehome
-  /// the gray network, and check_drift the clocks.
-  rma::FaultConfig faults;
-  /// Timed-acquire workloads (check_timeout / check_rehome): per-round
-  /// deadline budget in virtual nanoseconds. Under the checker's
-  /// zero-latency network only compute() — i.e. backoff — advances the
-  /// clock toward it (see mc::LivelockMonitor).
-  Nanos acquire_timeout_ns = 60'000;
+  /// --replay maps it back to a workload through mc::named_workload.
+  std::string workload_id{};
+  /// Fault models armed in every schedule; all off by default.
+  /// Workload::lease exercises crashes, Workload::optimistic tears,
+  /// Workload::timed / Workload::rehome the gray network, and
+  /// Workload::drift the clocks.
+  rma::FaultConfig faults{};
   /// try_acquire_for rounds per process in the timeout workloads.
   i32 timeout_retry_rounds = 3;
   /// Retry policy the timed workloads hand to try_acquire_for. The planted
   /// livelock bug is `retry.backoff = false`.
-  locks::RetryPolicy retry;
-  /// LivelockMonitor bound: cumulative attempts without an acquire before
-  /// a rank is declared livelocked. Correct backoff stays ~an order of
-  /// magnitude below; the no-backoff bug blows through it via the
-  /// RetryPolicy::max_attempts valve.
-  u64 livelock_bound = 128;
+  locks::RetryPolicy retry{};
   /// Worker threads for the campaign (--jobs / RMALOCK_JOBS): 1 = the
   /// sequential loop (default), n > 1 = run schedules on a work-stealing
   /// TaskPool, <= 0 = all hardware threads. Every observable output —
@@ -159,122 +159,6 @@ struct CheckReport {
   CheckReport& operator+=(const CheckReport& other);
 };
 
-using RwLockFactory =
-    std::function<std::unique_ptr<locks::RwLock>(rma::World&)>;
-using ExclusiveLockFactory =
-    std::function<std::unique_ptr<locks::ExclusiveLock>(rma::World&)>;
-using LockSpaceFactory =
-    std::function<std::unique_ptr<lockspace::LockSpace>(rma::World&)>;
-using LeaseLockFactory =
-    std::function<std::unique_ptr<locks::LeaseExclusive>(rma::World&)>;
-
-/// Subject of the clock-drift workload (check_drift): one timed lease
-/// guarding one payload key of a payload-capable LockSpace — the lease is
-/// the *permission*, the space's versioned payload the *resource*, and the
-/// grant token the thread of trust between them.
-struct DriftLeaseSubject {
-  std::unique_ptr<locks::TimedLease> lease;
-  std::unique_ptr<lockspace::LockSpace> space;
-  u64 key = 0;
-};
-using DriftLeaseFactory = std::function<DriftLeaseSubject(rma::World&)>;
-
-/// Explores `config.schedules` schedules of a reader/writer workload.
-CheckReport check_rw(const CheckConfig& config, const RwLockFactory& factory);
-
-/// Explores `config.schedules` schedules of an all-writers workload.
-CheckReport check_exclusive(const CheckConfig& config,
-                            const ExclusiveLockFactory& factory);
-
-/// Explores `config.schedules` schedules of a crash/recovery workload over
-/// a lease lock: every process declares a crash point before each acquire
-/// and one inside each critical section (armed iff
-/// config.faults.max_crashes > 0), so an owner can die holding the lease
-/// and survivors must reclaim it.
-/// Checked properties: "never two owners in one epoch" (EpochMonitor,
-/// folded into mutex_violations) and recovery liveness — a survivor stuck
-/// forever on an unreclaimable lease surfaces as an engine deadlock.
-CheckReport check_lease(const CheckConfig& config,
-                        const LeaseLockFactory& factory);
-
-/// Explores `config.schedules` schedules of a keyed LockSpace workload:
-/// process p's i-th acquisition targets keys[(p + i) % keys.size()]
-/// (writers per config roles; readers use shared mode on RW backends).
-/// Checked properties: per-key mutual exclusion (one CsMonitor per key),
-/// deadlock freedom, and cross-key independence — the report counts
-/// schedules where two distinct keys were held at once
-/// (cross_key_overlap_schedules), which the campaigns assert is nonzero.
-CheckReport check_lockspace(const CheckConfig& config,
-                            const LockSpaceFactory& factory,
-                            const std::vector<u64>& keys);
-
-/// Explores `config.schedules` schedules of the versioned optimistic-read
-/// workload over a payload-capable LockSpace (the space `factory` builds
-/// must have payload_words > 0): writers (per config roles) take the write
-/// lock and publish an all-words-equal payload stamped with the key's next
-/// generation; readers call optimistic_read lock-free. Checked properties:
-/// per-key write-side mutual exclusion (CsMonitor), deadlock freedom, and
-/// snapshot consistency — every returned payload must be non-increasing
-/// along the word index (OptimisticReadMonitor; see mc/monitor.hpp for why
-/// that is exactly "no un-validated torn read"). Violations of either fold
-/// into mutex_violations. Arm config.faults.max_tears, or the planted
-/// skip_read_validation bug stays invisible — that false negative is itself
-/// a campaign mc_verification runs on purpose.
-CheckReport check_optimistic(const CheckConfig& config,
-                             const LockSpaceFactory& factory,
-                             const std::vector<u64>& keys);
-
-/// Explores `config.schedules` schedules of the timed-acquire workload:
-/// every process runs config.timeout_retry_rounds rounds of
-/// try_acquire_for with an acquire_timeout_ns deadline and config.retry,
-/// entering/leaving a CS on success and moving on on timeout. Checked
-/// properties: mutual exclusion (CsMonitor), deadlock freedom, and
-/// bounded-retry progress (LivelockMonitor, folded into
-/// livelock_violations) — the property the planted no-backoff retry policy
-/// violates under a straggler schedule. Arm the gray-failure knobs
-/// (max_delays / max_partitions) to exercise the paths the deadlines
-/// exist for.
-CheckReport check_timeout(const CheckConfig& config,
-                          const ExclusiveLockFactory& factory);
-
-/// Explores `config.schedules` schedules of the wall-clock lease workload:
-/// every process repeatedly takes the timed lease (acquire_token), then —
-/// while still_valid() on its own clock — publishes token-stamped payloads
-/// through LockSpace::write_payload_fenced, and releases. Checked
-/// properties (WallClockLeaseMonitor, folded into mutex_violations):
-/// never two believing writers at once, and never an accepted write with a
-/// stale token; plus deadlock freedom. Arm config.faults.max_drift_events,
-/// or the planted safety_margin_ns = 0 and skip_token_check bugs stay
-/// invisible — under perfect clocks a margin-0 lease is actually safe, the
-/// false negative the drift model exists to prevent.
-CheckReport check_drift(const CheckConfig& config,
-                        const DriftLeaseFactory& factory);
-
-/// Explores `config.schedules` schedules of the re-homing workload over a
-/// rehome-capable LockSpace (the space `factory` builds must have
-/// rehome_epochs >= 1 and an exclusive backend): every process runs keyed
-/// timed acquires (as in check_timeout); the highest rank additionally
-/// migrates the first key's shard to its successor home mid-run
-/// (rehome_shard). Checked properties: per-key mutual exclusion across
-/// migration planes — one CsMonitor per key, so an old-plane owner
-/// coexisting with a new-plane owner is a mutex violation (exactly what
-/// the planted rehome_skip_fence bug admits) — plus deadlock freedom and
-/// bounded-retry progress.
-CheckReport check_rehome(const CheckConfig& config,
-                         const LockSpaceFactory& factory,
-                         const std::vector<u64>& keys);
-
-/// First `k` keys (scanning upward from 0) that resolve to pairwise
-/// distinct slots of the space `factory` builds — the keys a small-config
-/// campaign uses so "different keys" provably means "different physical
-/// locks". Probes a scratch SimWorld over `topology`.
-std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,
-                                      const topo::Topology& topology, i32 k);
-
-// --- single-schedule building blocks ---------------------------------------
-// Shared by the randomized loops above, the bounded-exhaustive explorer
-// (mc/explorer.hpp), trace replay (mc_verification --replay), and tests.
-
 /// Outcome of one checked schedule.
 struct ScheduleOutcome {
   rma::RunResult run;
@@ -303,9 +187,167 @@ struct ScheduleOutcome {
   }
 };
 
+using RwLockFactory =
+    std::function<std::unique_ptr<locks::RwLock>(rma::World&)>;
+using ExclusiveLockFactory =
+    std::function<std::unique_ptr<locks::ExclusiveLock>(rma::World&)>;
+using LockSpaceFactory =
+    std::function<std::unique_ptr<lockspace::LockSpace>(rma::World&)>;
+using LeaseLockFactory =
+    std::function<std::unique_ptr<locks::LeaseExclusive>(rma::World&)>;
+
+/// Subject of the clock-drift workload (Workload::drift): one timed lease
+/// guarding one payload key of a payload-capable LockSpace — the lease is
+/// the *permission*, the space's versioned payload the *resource*, and the
+/// grant token the thread of trust between them.
+struct DriftLeaseSubject {
+  std::unique_ptr<locks::TimedLease> lease;
+  std::unique_ptr<lockspace::LockSpace> space;
+  u64 key = 0;
+};
+using DriftLeaseFactory = std::function<DriftLeaseSubject(rma::World&)>;
+
+/// A checkable workload: runs ONE schedule under the given options — a
+/// fresh world, the lock subject its factory builds, the workload's
+/// monitors — and reports what the monitors saw. It is the only thing the
+/// randomized checker (check), the bounded-exhaustive explorer
+/// (check_exhaustive, mc/explorer.hpp), trace replay and the goldens know
+/// about: campaigns, replays and ddmin reruns all call it directly.
+class Workload {
+ public:
+  using Run = std::function<ScheduleOutcome(const CheckConfig&,
+                                            const rma::SimOptions&)>;
+
+  explicit Workload(Run run,
+                    rma::SchedPolicy policy = rma::SchedPolicy::kReplay)
+      : run_(std::move(run)), policy_(policy) {}
+
+  ScheduleOutcome operator()(const CheckConfig& config,
+                             const rma::SimOptions& opts) const {
+    return run_(config, opts);
+  }
+  /// Policy the exhaustive sweep runs (and stamps its traces) under:
+  /// kReplay — the DFS hook drives every scheduling pick — for every family
+  /// but drift, which explores under kVirtualTime (see Workload::drift).
+  [[nodiscard]] rma::SchedPolicy policy() const { return policy_; }
+
+  /// Reader/writer workload: every process (writer or reader per config
+  /// roles) takes the lock acquires_per_proc times. Checked properties:
+  /// mutual exclusion (CsMonitor) and deadlock freedom.
+  static Workload rw(RwLockFactory factory);
+
+  /// All-writers workload over an exclusive lock.
+  static Workload exclusive(ExclusiveLockFactory factory);
+
+  /// Crash/recovery workload over a lease lock: every process declares a
+  /// crash point before each acquire and one inside each critical section
+  /// (armed iff config.faults.max_crashes > 0), so an owner can die holding
+  /// the lease and survivors must reclaim it.
+  /// Checked properties: "never two owners in one epoch" (EpochMonitor,
+  /// folded into mutex_violations) and recovery liveness — a survivor stuck
+  /// forever on an unreclaimable lease surfaces as an engine deadlock.
+  /// Exhaustively, every armed crash point is a scheduler decision the DFS
+  /// branches on — crash-free interleavings AND every placement of up to
+  /// max_crashes crashes are enumerated within the bounds. Crashing costs
+  /// one preemption, so iterative deepening surfaces the no-crash space
+  /// first.
+  static Workload lease(LeaseLockFactory factory);
+
+  /// Keyed LockSpace workload: process p's i-th acquisition targets
+  /// keys[(p + i) % keys.size()] (writers per config roles; readers use
+  /// shared mode on RW backends). Checked properties: per-key mutual
+  /// exclusion (one CsMonitor per key), deadlock freedom, and cross-key
+  /// independence — the report counts schedules where two distinct keys
+  /// were held at once (cross_key_overlap_schedules), which the campaigns
+  /// assert is nonzero.
+  static Workload keyed(LockSpaceFactory factory, std::vector<u64> keys);
+
+  /// Versioned optimistic-read workload over a payload-capable LockSpace
+  /// (the space `factory` builds must have payload_words > 0): writers (per
+  /// config roles) take the write lock and publish an all-words-equal
+  /// payload stamped with the key's next generation; readers call
+  /// optimistic_read lock-free. Checked properties: per-key write-side
+  /// mutual exclusion (CsMonitor), deadlock freedom, and snapshot
+  /// consistency — every returned payload must be non-increasing along the
+  /// word index (OptimisticReadMonitor; see mc/monitor.hpp for why that is
+  /// exactly "no un-validated torn read"). Violations of either fold into
+  /// mutex_violations. Arm config.faults.max_tears, or the planted
+  /// skip_read_validation bug stays invisible — that false negative is
+  /// itself a campaign mc_verification runs on purpose. Exhaustively, every
+  /// armed multi-word get is a scheduler decision — the un-torn read AND
+  /// every tear placement (each possible split point) are enumerated.
+  /// Tearing costs one preemption, so iterative deepening surfaces the
+  /// atomic-snapshot space first.
+  static Workload optimistic(LockSpaceFactory factory, std::vector<u64> keys);
+
+  /// Timed-acquire workload: every process runs config.timeout_retry_rounds
+  /// rounds of try_acquire_for with a kAcquireTimeoutNs deadline and
+  /// config.retry, entering/leaving a CS on success and moving on on
+  /// timeout. Checked properties: mutual exclusion (CsMonitor), deadlock
+  /// freedom, and bounded-retry progress (LivelockMonitor, folded into
+  /// livelock_violations) — the property the planted no-backoff retry
+  /// policy violates under a straggler schedule. Arm the gray-failure knobs
+  /// (max_delays / max_partitions) to exercise the paths the deadlines
+  /// exist for; exhaustively, every armed remote op is then a scheduler
+  /// decision and each injected fault costs one preemption, so iterative
+  /// deepening surfaces the fault-free space first.
+  static Workload timed(ExclusiveLockFactory factory);
+
+  /// Wall-clock lease workload: every process repeatedly takes the timed
+  /// lease (acquire_token), then — while still_valid() on its own clock —
+  /// publishes token-stamped payloads through
+  /// LockSpace::write_payload_fenced, and releases. Checked properties
+  /// (WallClockLeaseMonitor, folded into mutex_violations): never two
+  /// believing writers at once, and never an accepted write with a stale
+  /// token; plus deadlock freedom. Arm config.faults.max_drift_events, or
+  /// the planted safety_margin_ns = 0 and skip_token_check bugs stay
+  /// invisible — under perfect clocks a margin-0 lease is actually safe,
+  /// the false negative the drift model exists to prevent.
+  /// Drift explores under kVirtualTime: the DFS hook is consulted only at
+  /// fault-decision sites (SimWorld::decide), so the enumerated space is
+  /// every placement of the drift budget over one deterministic schedule —
+  /// the clock is the adversary, not the scheduler. Each event is a
+  /// deterministic function of (rank, event count), so the branch alone
+  /// pins the whole clock trajectory. Belief-overlap intervals are only
+  /// comparable on the virtual-time timeline; a preemptive DFS would let a
+  /// later-serialized session carry earlier clock readings and flag
+  /// overlaps no margin could prevent.
+  static Workload drift(DriftLeaseFactory factory);
+
+  /// Re-homing workload over a rehome-capable LockSpace (the space
+  /// `factory` builds must have rehome_epochs >= 1 and an exclusive
+  /// backend): every process runs keyed timed acquires (as in
+  /// Workload::timed); the highest rank additionally migrates the first
+  /// key's shard to its successor home mid-run (rehome_shard). Checked
+  /// properties: per-key mutual exclusion across migration planes — one
+  /// CsMonitor per key, so an old-plane owner coexisting with a new-plane
+  /// owner is a mutex violation (exactly what the planted
+  /// rehome_skip_fence bug admits) — plus deadlock freedom and
+  /// bounded-retry progress.
+  static Workload rehome(LockSpaceFactory factory, std::vector<u64> keys);
+
+ private:
+  Run run_;
+  rma::SchedPolicy policy_;
+};
+
+/// Explores `config.schedules` randomized schedules of `workload`.
+CheckReport check(const CheckConfig& config, const Workload& workload);
+
+/// First `k` keys (scanning upward from 0) that resolve to pairwise
+/// distinct slots of the space `factory` builds — the keys a small-config
+/// campaign uses so "different keys" provably means "different physical
+/// locks". Probes a scratch SimWorld over `topology`.
+std::vector<u64> pick_cross_slot_keys(const LockSpaceFactory& factory,
+                                      const topo::Topology& topology, i32 k);
+
+// --- single-schedule building blocks ---------------------------------------
+// Shared by the randomized loop above, the bounded-exhaustive explorer
+// (mc/explorer.hpp), trace replay (mc_verification --replay), and tests.
+
 /// SimOptions for the `schedule`-th randomized schedule of `config`
 /// (world seed = mix_seed(base_seed, schedule), zero-latency network,
-/// deadlocks reported instead of aborting, recording per config).
+/// deadlocks reported instead of aborting, no up-front recording).
 [[nodiscard]] rma::SimOptions schedule_options(const CheckConfig& config,
                                                u64 schedule);
 
@@ -315,52 +357,30 @@ struct ScheduleOutcome {
                                              u64 world_seed,
                                              const rma::ScheduleTrace& trace);
 
-/// Runs one reader/writer (resp. all-writers) schedule under `opts`.
-ScheduleOutcome run_rw_schedule(const CheckConfig& config,
-                                const RwLockFactory& factory,
-                                const rma::SimOptions& opts);
-ScheduleOutcome run_exclusive_schedule(const CheckConfig& config,
-                                       const ExclusiveLockFactory& factory,
-                                       const rma::SimOptions& opts);
-/// Runs one crash/recovery lease schedule (see check_lease) under `opts`.
-ScheduleOutcome run_lease_schedule(const CheckConfig& config,
-                                   const LeaseLockFactory& factory,
-                                   const rma::SimOptions& opts);
-/// Runs one keyed LockSpace schedule (see check_lockspace) under `opts`.
-ScheduleOutcome run_lockspace_schedule(const CheckConfig& config,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       const rma::SimOptions& opts);
-/// Runs one optimistic-read schedule (see check_optimistic) under `opts`.
-ScheduleOutcome run_optimistic_schedule(const CheckConfig& config,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        const rma::SimOptions& opts);
-/// Runs one timed-acquire schedule (see check_timeout) under `opts`.
-ScheduleOutcome run_timeout_schedule(const CheckConfig& config,
-                                     const ExclusiveLockFactory& factory,
-                                     const rma::SimOptions& opts);
-/// Runs one wall-clock lease schedule (see check_drift) under `opts`.
-ScheduleOutcome run_drift_schedule(const CheckConfig& config,
-                                   const DriftLeaseFactory& factory,
-                                   const rma::SimOptions& opts);
-/// Runs one re-homing schedule (see check_rehome) under `opts`.
-ScheduleOutcome run_rehome_schedule(const CheckConfig& config,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    const rma::SimOptions& opts);
-
 /// Accumulates one schedule's outcome into the campaign counters.
 void fold_outcome(CheckReport& report, const ScheduleOutcome& outcome);
 
 /// If `outcome` failed and `report` has no failure yet: records the first
-/// failure, ddmin-shrinks its trace via `rerun` (per config), and writes the
-/// trace file (per config). `opts` must be the options the failing schedule
-/// ran under; `rerun` must re-execute one schedule with the given options.
-void capture_first_failure(
-    CheckReport& report, const CheckConfig& config,
-    const ScheduleOutcome& outcome, u64 schedule_index,
-    const rma::SimOptions& opts,
-    const std::function<ScheduleOutcome(const rma::SimOptions&)>& rerun);
+/// failure, ddmin-shrinks its trace by re-running `workload` (per config),
+/// and writes the trace file (per config). `opts` must be the options the
+/// failing schedule ran under.
+void capture_first_failure(CheckReport& report, const CheckConfig& config,
+                           const Workload& workload,
+                           const ScheduleOutcome& outcome, u64 schedule_index,
+                           const rma::SimOptions& opts);
+
+// --- reader/writer forwarders ----------------------------------------------
+// Kept only because the repository benchmark (rmabench/src/mc_check.cpp),
+// whose sources change only together with the benchmark definition, calls
+// them by these names; everything else uses Workload::rw + check.
+inline CheckReport check_rw(const CheckConfig& config,
+                            const RwLockFactory& factory) {
+  return check(config, Workload::rw(factory));
+}
+inline ScheduleOutcome run_rw_schedule(const CheckConfig& config,
+                                       const RwLockFactory& factory,
+                                       const rma::SimOptions& opts) {
+  return Workload::rw(factory)(config, opts);
+}
 
 }  // namespace rmalock::mc

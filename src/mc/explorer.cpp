@@ -249,28 +249,34 @@ struct SubtreeResult {
   ScheduleOutcome fail_outcome;
 };
 
-template <typename Factory, typename Runner>
-CheckReport check_exhaustive_parallel(const CheckConfig& config,
-                                      const ExploreConfig& explore,
-                                      const Factory& factory, bool iterative,
-                                      const Runner& run_schedule, i32 jobs) {
-  CheckReport report;
-  const auto rerun = [&](const rma::SimOptions& replay_opts) {
-    return run_schedule(config, factory, replay_opts);
-  };
+}  // namespace
 
-  // Fallback for rounds whose prefix space alone blows the schedule
-  // budget: shard accounting can no longer mirror the sequential order, so
-  // the round runs sequentially (identical to the jobs=1 path).
+CheckReport check_exhaustive(const CheckConfig& base_config,
+                             const ExploreConfig& explore,
+                             const Workload& workload, bool iterative) {
+  // Trace files and reports stamp the policy the schedules actually ran
+  // under — the workload's exploration policy (the hook-driven kReplay for
+  // interleaving exploration, or kVirtualTime for drift campaigns, where the
+  // hook drives ONLY the fault-decision sites and the schedule itself stays
+  // deterministic) — not the CheckConfig default.
+  CheckConfig config = base_config;
+  config.policy = workload.policy();
+  const i32 jobs = harness::TaskPool::resolve_jobs(config.jobs);
+  CheckReport report;
+
+  // One DFS round on the calling thread, stopping at the first
+  // counterexample: the jobs=1 path, and the fallback for parallel rounds
+  // whose prefix space alone blows the schedule budget (shard accounting
+  // can no longer mirror the sequential order there).
   const auto run_round_sequential =
       [&](const ExploreConfig& round) -> ExploreStats {
     const ExploreRunner run_one = [&](const rma::PickHook& hook) {
       const rma::SimOptions opts =
-          exhaustive_options(config, hook, config.record_traces);
-      const ScheduleOutcome outcome = run_schedule(config, factory, opts);
+          exhaustive_options(config, hook, /*record=*/true);
+      const ScheduleOutcome outcome = workload(config, opts);
       fold_outcome(report, outcome);
-      capture_first_failure(report, config, outcome,
-                            report.schedules_run - 1, opts, rerun);
+      capture_first_failure(report, config, workload, outcome,
+                            report.schedules_run - 1, opts);
       return !outcome.failed();
     };
     return explore_impl(round, run_one, nullptr);
@@ -283,7 +289,7 @@ CheckReport check_exhaustive_parallel(const CheckConfig& config,
     const ExploreRunner probe = [&](const rma::PickHook& hook) {
       const rma::SimOptions opts =
           exhaustive_options(config, hook, /*record=*/false);
-      (void)run_schedule(config, factory, opts);
+      (void)workload(config, opts);
       return true;  // failures resurface deterministically in phase 2
     };
     Frontier frontier;
@@ -312,8 +318,8 @@ CheckReport check_exhaustive_parallel(const CheckConfig& config,
       SubtreeResult& slot = slots[static_cast<usize>(i)];
       const ExploreRunner run_one = [&](const rma::PickHook& hook) {
         const rma::SimOptions opts =
-            exhaustive_options(config, hook, config.record_traces);
-        const ScheduleOutcome outcome = run_schedule(config, factory, opts);
+            exhaustive_options(config, hook, /*record=*/true);
+        const ScheduleOutcome outcome = workload(config, opts);
         fold_outcome(slot.report, outcome);
         if (outcome.failed() && !slot.failed) {
           slot.failed = true;
@@ -362,160 +368,24 @@ CheckReport check_exhaustive_parallel(const CheckConfig& config,
       // failure, so coordinates, file name, and the ddmin-shrunk trace
       // come out identical to the jobs=1 run. The placeholder hook only
       // marks the options as hook-driven (the failing run was already
-      // recorded up front, or recording was off) — it is never invoked.
+      // recorded up front) — it is never invoked.
       const rma::SimOptions fail_opts = exhaustive_options(
           config, [](const std::vector<Rank>& c) { return c.front(); },
-          config.record_traces);
-      capture_first_failure(report, config,
+          /*record=*/true);
+      capture_first_failure(report, config, workload,
                             slots[failing].fail_outcome,
-                            report.schedules_run - 1, fail_opts, rerun);
+                            report.schedules_run - 1, fail_opts);
     }
     return total;
   };
 
-  const ExploreStats stats = iterative
-                                 ? iterate_budgets(explore, run_round_parallel)
-                                 : run_round_parallel(explore);
-  if (stats.complete) ++report.exhausted_spaces;
-  return report;
-}
-
-template <typename Factory, typename Runner>
-CheckReport check_exhaustive_impl(
-    const CheckConfig& config, const ExploreConfig& explore,
-    const Factory& factory, bool iterative, const Runner& run_schedule,
-    rma::SchedPolicy policy = rma::SchedPolicy::kReplay) {
-  // Trace files and reports stamp the policy the schedules actually ran
-  // under — the hook-driven kReplay for interleaving exploration, or
-  // kVirtualTime for drift campaigns, where the hook drives ONLY the
-  // fault-decision sites and the schedule itself stays deterministic —
-  // not the CheckConfig default.
-  CheckConfig exhaustive_config = config;
-  exhaustive_config.policy = policy;
-  const i32 jobs = harness::TaskPool::resolve_jobs(config.jobs);
-  if (jobs > 1) {
-    return check_exhaustive_parallel(exhaustive_config, explore, factory,
-                                     iterative, run_schedule, jobs);
-  }
-  CheckReport report;
-  const ExploreRunner run_one = [&](const rma::PickHook& hook) {
-    const rma::SimOptions opts = exhaustive_options(
-        exhaustive_config, hook, exhaustive_config.record_traces);
-    const ScheduleOutcome outcome =
-        run_schedule(exhaustive_config, factory, opts);
-    fold_outcome(report, outcome);
-    capture_first_failure(report, exhaustive_config, outcome,
-                          report.schedules_run - 1, opts,
-                          [&](const rma::SimOptions& replay_opts) {
-                            return run_schedule(exhaustive_config, factory,
-                                                replay_opts);
-                          });
-    return !outcome.failed();  // stop at the first counterexample
+  const auto run_round = [&](const ExploreConfig& round) {
+    return jobs > 1 ? run_round_parallel(round) : run_round_sequential(round);
   };
-  const ExploreStats stats = iterative ? explore_iterative(explore, run_one)
-                                       : explore_schedules(explore, run_one);
+  const ExploreStats stats =
+      iterative ? iterate_budgets(explore, run_round) : run_round(explore);
   if (stats.complete) ++report.exhausted_spaces;
   return report;
-}
-
-}  // namespace
-
-CheckReport check_rw_exhaustive(const CheckConfig& config,
-                                const ExploreConfig& explore,
-                                const RwLockFactory& factory, bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [](const CheckConfig& c, const RwLockFactory& f,
-         const rma::SimOptions& o) { return run_rw_schedule(c, f, o); });
-}
-
-CheckReport check_exclusive_exhaustive(const CheckConfig& config,
-                                       const ExploreConfig& explore,
-                                       const ExclusiveLockFactory& factory,
-                                       bool iterative) {
-  return check_exhaustive_impl(config, explore, factory, iterative,
-                               [](const CheckConfig& c,
-                                  const ExclusiveLockFactory& f,
-                                  const rma::SimOptions& o) {
-                                 return run_exclusive_schedule(c, f, o);
-                               });
-}
-
-CheckReport check_lease_exhaustive(const CheckConfig& config,
-                                   const ExploreConfig& explore,
-                                   const LeaseLockFactory& factory,
-                                   bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [](const CheckConfig& c, const LeaseLockFactory& f,
-         const rma::SimOptions& o) { return run_lease_schedule(c, f, o); });
-}
-
-CheckReport check_lockspace_exhaustive(const CheckConfig& config,
-                                       const ExploreConfig& explore,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [&keys](const CheckConfig& c, const LockSpaceFactory& f,
-              const rma::SimOptions& o) {
-        return run_lockspace_schedule(c, f, keys, o);
-      });
-}
-
-CheckReport check_optimistic_exhaustive(const CheckConfig& config,
-                                        const ExploreConfig& explore,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [&keys](const CheckConfig& c, const LockSpaceFactory& f,
-              const rma::SimOptions& o) {
-        return run_optimistic_schedule(c, f, keys, o);
-      });
-}
-
-CheckReport check_timeout_exhaustive(const CheckConfig& config,
-                                     const ExploreConfig& explore,
-                                     const ExclusiveLockFactory& factory,
-                                     bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [](const CheckConfig& c, const ExclusiveLockFactory& f,
-         const rma::SimOptions& o) { return run_timeout_schedule(c, f, o); });
-}
-
-CheckReport check_drift_exhaustive(const CheckConfig& config,
-                                   const ExploreConfig& explore,
-                                   const DriftLeaseFactory& factory,
-                                   bool iterative) {
-  // Drift campaigns explore under kVirtualTime: the DFS hook is consulted
-  // only at fault-decision sites (SimWorld::decide), so the enumerated space is
-  // every placement of the drift budget over one deterministic schedule —
-  // the clock is the adversary, not the scheduler. Belief-overlap intervals
-  // are only comparable on the virtual-time timeline; a preemptive DFS
-  // would let a later-serialized session carry earlier clock readings and
-  // flag overlaps no margin could prevent.
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [](const CheckConfig& c, const DriftLeaseFactory& f,
-         const rma::SimOptions& o) { return run_drift_schedule(c, f, o); },
-      rma::SchedPolicy::kVirtualTime);
-}
-
-CheckReport check_rehome_exhaustive(const CheckConfig& config,
-                                    const ExploreConfig& explore,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    bool iterative) {
-  return check_exhaustive_impl(
-      config, explore, factory, iterative,
-      [&keys](const CheckConfig& c, const LockSpaceFactory& f,
-              const rma::SimOptions& o) {
-        return run_rehome_schedule(c, f, keys, o);
-      });
 }
 
 }  // namespace rmalock::mc

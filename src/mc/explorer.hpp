@@ -82,79 +82,25 @@ ExploreStats explore_schedules(const ExploreConfig& config,
 ExploreStats explore_iterative(const ExploreConfig& config,
                                const ExploreRunner& run_one);
 
-/// Bounded-exhaustive campaigns over the checker workloads: enumerates
-/// schedules of config's workload (one world seed, mix_seed(base_seed, 0))
-/// until the bounded space is drained or a violation is found; the first
-/// failure is shrunk and reported exactly as in the randomized campaigns.
-/// `iterative` selects explore_iterative (explore.max_preemptions >= 0).
-CheckReport check_rw_exhaustive(const CheckConfig& config,
-                                const ExploreConfig& explore,
-                                const RwLockFactory& factory,
-                                bool iterative = false);
-CheckReport check_exclusive_exhaustive(const CheckConfig& config,
+/// Bounded-exhaustive campaign over `workload`: enumerates schedules (one
+/// world seed, mix_seed(base_seed, 0)) under workload.policy() until the
+/// bounded space is drained or a violation is found; the first failure is
+/// shrunk and reported exactly as in the randomized campaigns (check).
+/// Fault sites armed in config.faults are DFS decisions too, so every
+/// placement of the fault budget is enumerated (see the Workload
+/// constructors). `iterative` selects explore_iterative
+/// (explore.max_preemptions >= 0).
+CheckReport check_exhaustive(const CheckConfig& config,
+                             const ExploreConfig& explore,
+                             const Workload& workload, bool iterative = false);
+
+/// Reader/writer forwarder kept for the repository benchmark (see check_rw
+/// in mc/checker.hpp).
+inline CheckReport check_rw_exhaustive(const CheckConfig& config,
                                        const ExploreConfig& explore,
-                                       const ExclusiveLockFactory& factory,
-                                       bool iterative = false);
-/// Crash/recovery lease workload (see check_lease): with
-/// config.faults.max_crashes > 0, every armed crash point is a scheduler
-/// decision the DFS branches on — crash-free interleavings AND every
-/// placement of up to max_crashes crashes are enumerated within the bounds.
-/// Crashing costs one preemption, so iterative deepening surfaces the
-/// no-crash space first.
-CheckReport check_lease_exhaustive(const CheckConfig& config,
-                                   const ExploreConfig& explore,
-                                   const LeaseLockFactory& factory,
-                                   bool iterative = false);
-/// Keyed LockSpace workload (see check_lockspace): per-key mutual
-/// exclusion and deadlock freedom over every bounded interleaving, plus
-/// the cross-key-overlap tally that witnesses key independence.
-CheckReport check_lockspace_exhaustive(const CheckConfig& config,
-                                       const ExploreConfig& explore,
-                                       const LockSpaceFactory& factory,
-                                       const std::vector<u64>& keys,
-                                       bool iterative = false);
-/// Versioned optimistic-read workload (see check_optimistic): with
-/// config.faults.max_tears > 0, every armed multi-word get is a scheduler
-/// decision the DFS branches on — the un-torn read AND every tear placement
-/// (each possible split point) are enumerated within the bounds. Tearing
-/// costs one preemption, so iterative deepening surfaces the
-/// atomic-snapshot space first.
-CheckReport check_optimistic_exhaustive(const CheckConfig& config,
-                                        const ExploreConfig& explore,
-                                        const LockSpaceFactory& factory,
-                                        const std::vector<u64>& keys,
-                                        bool iterative = false);
-/// Timed-acquire workload (see check_timeout): with config.faults.max_delays
-/// / max_partitions > 0, every armed remote op is a scheduler decision the
-/// DFS branches on — the fault-free interleaving AND every placement of up
-/// to the budgeted delays/partitions are enumerated within the bounds.
-/// Each injected fault costs one preemption, so iterative deepening
-/// surfaces the fault-free space first. The livelock progress property
-/// (bounded retries) is checked alongside mutual exclusion.
-CheckReport check_timeout_exhaustive(const CheckConfig& config,
-                                     const ExploreConfig& explore,
-                                     const ExclusiveLockFactory& factory,
-                                     bool iterative = false);
-/// Wall-clock lease workload (see check_drift): with
-/// config.faults.max_drift_events > 0, every armed remote op is a scheduler
-/// decision the DFS branches on — the perfect-clocks interleaving AND
-/// every placement of up to the budgeted drift/skew events are enumerated
-/// within the bounds. Each event is a deterministic function of (rank,
-/// event count), so the branch alone pins the whole clock trajectory; a
-/// drift event costs one preemption and iterative deepening surfaces the
-/// perfect-clocks space first.
-CheckReport check_drift_exhaustive(const CheckConfig& config,
-                                   const ExploreConfig& explore,
-                                   const DriftLeaseFactory& factory,
-                                   bool iterative = false);
-/// Re-homing workload (see check_rehome): enumerates interleavings of the
-/// mid-run shard migration against keyed timed acquires; per-key mutual
-/// exclusion across migration planes is the property the planted
-/// rehome_skip_fence bug violates.
-CheckReport check_rehome_exhaustive(const CheckConfig& config,
-                                    const ExploreConfig& explore,
-                                    const LockSpaceFactory& factory,
-                                    const std::vector<u64>& keys,
-                                    bool iterative = false);
+                                       const RwLockFactory& factory,
+                                       bool iterative = false) {
+  return check_exhaustive(config, explore, Workload::rw(factory), iterative);
+}
 
 }  // namespace rmalock::mc

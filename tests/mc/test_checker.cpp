@@ -67,9 +67,11 @@ CheckConfig small_config(rma::SchedPolicy policy) {
 }
 
 TEST(Checker, DMcsPassesRandomWalk) {
-  const auto report = check_exclusive(
+  const auto report = check(
       small_config(rma::SchedPolicy::kRandom),
-      [](rma::World& world) { return std::make_unique<locks::DMcs>(world); });
+      Workload::exclusive([](rma::World& world) {
+        return std::make_unique<locks::DMcs>(world);
+      }));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.schedules_run, 25u);
   EXPECT_EQ(report.total_cs_entries, 25u * 4 * 6);
@@ -77,63 +79,64 @@ TEST(Checker, DMcsPassesRandomWalk) {
 
 TEST(Checker, RmaMcsPassesRandomWalk) {
   const auto report =
-      check_exclusive(small_config(rma::SchedPolicy::kRandom),
-                      [](rma::World& world) {
-                        return std::make_unique<locks::RmaMcs>(world);
-                      });
+      check(small_config(rma::SchedPolicy::kRandom),
+            Workload::exclusive([](rma::World& world) {
+              return std::make_unique<locks::RmaMcs>(world);
+            }));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Checker, FompiSpinPassesRandomWalk) {
   const auto report =
-      check_exclusive(small_config(rma::SchedPolicy::kRandom),
-                      [](rma::World& world) {
-                        return std::make_unique<locks::FompiSpin>(world);
-                      });
+      check(small_config(rma::SchedPolicy::kRandom),
+            Workload::exclusive([](rma::World& world) {
+              return std::make_unique<locks::FompiSpin>(world);
+            }));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Checker, RmaRwPassesRandomWalk) {
   auto config = small_config(rma::SchedPolicy::kRandom);
-  const auto report = check_rw(config, [](rma::World& world) {
+  const auto report = check(config, Workload::rw([](rma::World& world) {
     locks::RmaRwParams params;
     params.tdc = 2;
     params.locality.assign(
         static_cast<usize>(world.topology().num_levels()), 2);
     params.tr = 3;  // tiny thresholds stress the mode-change machinery
     return std::make_unique<locks::RmaRw>(world, params);
-  });
+  }));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Checker, RmaRwPassesPct) {
   auto config = small_config(rma::SchedPolicy::kPct);
   config.schedules = 15;
-  const auto report = check_rw(config, [](rma::World& world) {
+  const auto report = check(config, Workload::rw([](rma::World& world) {
     locks::RmaRwParams params;
     params.tdc = 2;
     params.locality.assign(
         static_cast<usize>(world.topology().num_levels()), 2);
     params.tr = 2;
     return std::make_unique<locks::RmaRw>(world, params);
-  });
+  }));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Checker, FompiRwPassesRandomWalk) {
-  const auto report = check_rw(small_config(rma::SchedPolicy::kRandom),
-                               [](rma::World& world) {
-                                 return std::make_unique<locks::FompiRw>(world);
-                               });
+  const auto report = check(small_config(rma::SchedPolicy::kRandom),
+                            Workload::rw([](rma::World& world) {
+                              return std::make_unique<locks::FompiRw>(world);
+                            }));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(Checker, CatchesMutualExclusionViolations) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  const auto report = check_exclusive(
+  const auto report = check(
       config,
-      [](rma::World& world) { return std::make_unique<NoLock>(world); });
+      Workload::exclusive(
+          [](rma::World& world) { return std::make_unique<NoLock>(world); }));
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.mutex_violations, 0u);
   EXPECT_EQ(report.deadlocks, 0u);
@@ -142,9 +145,11 @@ TEST(Checker, CatchesMutualExclusionViolations) {
 TEST(Checker, CatchesDeadlocks) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 5;
-  const auto report = check_exclusive(
+  const auto report = check(
       config,
-      [](rma::World& world) { return std::make_unique<LeakyLock>(world); });
+      Workload::exclusive([](rma::World& world) {
+        return std::make_unique<LeakyLock>(world);
+      }));
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.deadlocks, 0u);
 }
@@ -152,9 +157,10 @@ TEST(Checker, CatchesDeadlocks) {
 TEST(Checker, PctAlsoCatchesViolations) {
   auto config = small_config(rma::SchedPolicy::kPct);
   config.schedules = 10;
-  const auto report = check_exclusive(
+  const auto report = check(
       config,
-      [](rma::World& world) { return std::make_unique<NoLock>(world); });
+      Workload::exclusive(
+          [](rma::World& world) { return std::make_unique<NoLock>(world); }));
   EXPECT_GT(report.mutex_violations, 0u);
 }
 
@@ -168,12 +174,12 @@ TEST(Checker, PaperScaleFourLevels256Procs) {
   config.schedules = 2;
   config.acquires_per_proc = 3;
   config.max_steps = 3'000'000;
-  const auto report = check_rw(config, [](rma::World& world) {
+  const auto report = check(config, Workload::rw([](rma::World& world) {
     locks::RmaRwParams params = locks::RmaRwParams::defaults(world.topology());
     params.tr = 10;
     params.locality.assign(4, 2);
     return std::make_unique<locks::RmaRw>(world, params);
-  });
+  }));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.total_cs_entries, 2u * 256 * 3);
 }
@@ -282,7 +288,7 @@ ExclusiveLockFactory no_lock_factory() {
 TEST(Checker, FirstFailureRecordsMutexCoordinates) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  const auto report = check_exclusive(config, no_lock_factory());
+  const auto report = check(config, Workload::exclusive(no_lock_factory()));
   ASSERT_TRUE(report.has_first_failure);
   const FirstFailure& f = report.first_failure;
   EXPECT_EQ(f.kind, "mutex");
@@ -300,9 +306,9 @@ TEST(Checker, FirstFailureRecordsMutexCoordinates) {
 TEST(Checker, FirstFailureRecordsDeadlockKind) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 5;
-  const auto report = check_exclusive(config, [](rma::World& world) {
+  const auto report = check(config, Workload::exclusive([](rma::World& world) {
     return std::make_unique<LeakyLock>(world);
-  });
+  }));
   ASSERT_TRUE(report.has_first_failure);
   EXPECT_EQ(report.first_failure.kind, "deadlock");
 }
@@ -310,11 +316,12 @@ TEST(Checker, FirstFailureRecordsDeadlockKind) {
 TEST(Checker, FirstFailurePropagatesThroughMerge) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 5;
-  CheckReport clean = check_exclusive(config, [](rma::World& world) {
+  CheckReport clean = check(config, Workload::exclusive([](rma::World& world) {
     return std::make_unique<locks::DMcs>(world);
-  });
+  }));
   ASSERT_FALSE(clean.has_first_failure);
-  const CheckReport failing = check_exclusive(config, no_lock_factory());
+  const CheckReport failing =
+      check(config, Workload::exclusive(no_lock_factory()));
   ASSERT_TRUE(failing.has_first_failure);
 
   // Aggregating a failing report into a clean one keeps the coordinates...
@@ -336,19 +343,18 @@ TEST(Checker, FirstFailurePropagatesThroughMerge) {
 TEST(Checker, ShrunkCounterexampleReplaysDeterministically) {
   auto config = small_config(rma::SchedPolicy::kRandom);
   config.schedules = 10;
-  const auto report = check_exclusive(config, no_lock_factory());
+  const auto report = check(config, Workload::exclusive(no_lock_factory()));
   ASSERT_TRUE(report.has_first_failure);
   const FirstFailure& f = report.first_failure;
   EXPECT_LT(f.trace.picks.size(), f.raw_trace_len) << "nothing was shrunk";
 
   // Two independent replays of the shrunk trace in fresh worlds must both
   // reproduce the violation — and identically so.
-  const ScheduleOutcome first = run_exclusive_schedule(
-      config, no_lock_factory(),
-      replay_options(config, f.world_seed, f.trace));
-  const ScheduleOutcome second = run_exclusive_schedule(
-      config, no_lock_factory(),
-      replay_options(config, f.world_seed, f.trace));
+  const Workload workload = Workload::exclusive(no_lock_factory());
+  const ScheduleOutcome first =
+      workload(config, replay_options(config, f.world_seed, f.trace));
+  const ScheduleOutcome second =
+      workload(config, replay_options(config, f.world_seed, f.trace));
   EXPECT_GT(first.mutex_violations, 0u);
   EXPECT_EQ(first.mutex_violations, second.mutex_violations);
   EXPECT_EQ(first.run.steps, second.run.steps);
@@ -359,7 +365,7 @@ TEST(Checker, TraceDirWritesReplayableFile) {
   config.schedules = 10;
   config.trace_dir = rmalock::test::test_temp_dir();
   config.workload_id = "ex:no-lock";
-  const auto report = check_exclusive(config, no_lock_factory());
+  const auto report = check(config, Workload::exclusive(no_lock_factory()));
   ASSERT_TRUE(report.has_first_failure);
   ASSERT_FALSE(report.first_failure.trace_path.empty());
   EXPECT_NE(report.summary().find("--replay"), std::string::npos);
@@ -380,9 +386,8 @@ TEST(Checker, TraceDirWritesReplayableFile) {
   from_file.topology = repro.topology;
   from_file.acquires_per_proc = repro.acquires_per_proc;
   from_file.max_steps = repro.max_steps;
-  const ScheduleOutcome replayed = run_exclusive_schedule(
-      from_file, no_lock_factory(),
-      replay_options(from_file, repro.world_seed, repro.trace));
+  const ScheduleOutcome replayed = Workload::exclusive(no_lock_factory())(
+      from_file, replay_options(from_file, repro.world_seed, repro.trace));
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
 
@@ -395,22 +400,22 @@ TEST(Checker, PlantedMcsDroppedHandoffCaughtByRandomAndPct) {
     auto config = small_config(policy);
     config.schedules = 10;
     config.acquires_per_proc = 2;
-    const auto report = check_exclusive(config, [](rma::World& world) {
-      return std::make_unique<test::PlantedMcs>(world, /*drop_handoff=*/true);
-    });
+    const auto report =
+        check(config, Workload::exclusive([](rma::World& world) {
+          return std::make_unique<test::PlantedMcs>(world,
+                                                    /*drop_handoff=*/true);
+        }));
     EXPECT_FALSE(report.ok());
     EXPECT_GT(report.deadlocks, 0u);
     ASSERT_TRUE(report.has_first_failure);
     EXPECT_EQ(report.first_failure.kind, "deadlock");
 
     // The shrunk counterexample replays to the same deadlock.
-    const ScheduleOutcome replayed = run_exclusive_schedule(
-        config,
+    const ScheduleOutcome replayed = Workload::exclusive(
         [](rma::World& world) {
           return std::make_unique<test::PlantedMcs>(world, true);
-        },
-        replay_options(config, report.first_failure.world_seed,
-                       report.first_failure.trace));
+        })(config, replay_options(config, report.first_failure.world_seed,
+                                  report.first_failure.trace));
     EXPECT_TRUE(replayed.run.deadlocked);
   }
 }
@@ -439,7 +444,7 @@ TEST(Checker, PlantedRwWriteFlagClobberCaughtByRandom) {
   config.base_seed = 1;
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
-  const auto report = check_rw(config, faithful_reset_rw_factory());
+  const auto report = check(config, Workload::rw(faithful_reset_rw_factory()));
   EXPECT_GT(report.mutex_violations, 0u) << report.summary();
   ASSERT_TRUE(report.has_first_failure);
   EXPECT_EQ(report.first_failure.kind, "mutex");
@@ -448,10 +453,9 @@ TEST(Checker, PlantedRwWriteFlagClobberCaughtByRandom) {
 
   // Deterministic replay of the shrunk counterexample, twice.
   for (int i = 0; i < 2; ++i) {
-    const ScheduleOutcome replayed = run_rw_schedule(
-        config, faithful_reset_rw_factory(),
-        replay_options(config, report.first_failure.world_seed,
-                       report.first_failure.trace));
+    const ScheduleOutcome replayed = Workload::rw(faithful_reset_rw_factory())(
+        config, replay_options(config, report.first_failure.world_seed,
+                               report.first_failure.trace));
     EXPECT_GT(replayed.mutex_violations, 0u) << "replay " << i;
   }
 }
@@ -465,14 +469,13 @@ TEST(Checker, PlantedRwWriteFlagClobberCaughtByPct) {
   config.acquires_per_proc = 8;
   config.max_steps = 400'000;
   config.pct_change_points = 6;
-  const auto report = check_rw(config, faithful_reset_rw_factory());
+  const auto report = check(config, Workload::rw(faithful_reset_rw_factory()));
   EXPECT_GT(report.mutex_violations, 0u) << report.summary();
   ASSERT_TRUE(report.has_first_failure);
   EXPECT_EQ(report.first_failure.kind, "mutex");
-  const ScheduleOutcome replayed = run_rw_schedule(
-      config, faithful_reset_rw_factory(),
-      replay_options(config, report.first_failure.world_seed,
-                     report.first_failure.trace));
+  const ScheduleOutcome replayed = Workload::rw(faithful_reset_rw_factory())(
+      config, replay_options(config, report.first_failure.world_seed,
+                             report.first_failure.trace));
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
 
@@ -507,12 +510,12 @@ TEST(Checker, ExplicitWriterRolesOverrideRandomAssignment) {
     return std::make_unique<NoRwLock>(world);
   };
   // Seed-drawn roles put writers in the mix: the null lock must be caught.
-  const auto random_roles = check_rw(config, factory);
+  const auto random_roles = check(config, Workload::rw(factory));
   EXPECT_GT(random_roles.mutex_violations, 0u) << random_roles.summary();
   // Pinning every rank to reader makes the same workload trivially clean —
   // proof that writer_roles overrides the seed-drawn assignment.
   config.writer_roles = {false, false, false, false};
-  const auto all_readers = check_rw(config, factory);
+  const auto all_readers = check(config, Workload::rw(factory));
   EXPECT_TRUE(all_readers.ok()) << all_readers.summary();
   EXPECT_EQ(all_readers.total_cs_entries, 5u * 4 * 4);
 }

@@ -81,7 +81,8 @@ TEST(EpochMonitor, CrashedHolderKeepsItsEpochActive) {
 
 TEST(CrashMc, RandomizedFencedLeaseCampaignIsClean) {
   const CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 30);
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report =
+      check(config, Workload::lease(lease_factory(true)));
   EXPECT_EQ(report.schedules_run, 30u);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.total_cs_entries, 0u);
@@ -93,7 +94,8 @@ TEST(CrashMc, RestartCampaignIsClean) {
   // safety and liveness.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 30);
   config.faults.restart_crashed = true;
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report =
+      check(config, Workload::lease(lease_factory(true)));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
@@ -103,7 +105,8 @@ TEST(CrashMc, AdversarialDetectorStaysEpochSafeWhenFenced) {
   // detector accuracy.
   CheckConfig config = crash_config(rma::SchedPolicy::kRandom, 20);
   config.faults.adversarial_suspicion = true;
-  const CheckReport report = check_lease(config, lease_factory(true));
+  const CheckReport report =
+      check(config, Workload::lease(lease_factory(true)));
   EXPECT_EQ(report.mutex_violations, 0u) << report.summary();
 }
 
@@ -118,8 +121,9 @@ TEST(CrashMc, ExhaustiveFencedLeaseDrainsItsSpaceCleanly) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_lease_exhaustive(
-      config, explore, lease_factory(true), /*iterative=*/true);
+  const CheckReport report =
+      check_exhaustive(config, explore, Workload::lease(lease_factory(true)),
+                       /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.schedules_run, 1u);
   EXPECT_GT(report.exhausted_spaces, 0u)
@@ -130,7 +134,8 @@ class PlantedNoFenceBug : public ::testing::TestWithParam<rma::SchedPolicy> {};
 
 TEST_P(PlantedNoFenceBug, IsCaughtWithAReplayableCounterexample) {
   const CheckConfig config = crash_config(GetParam(), 60);
-  const CheckReport report = check_lease(config, lease_factory(false));
+  const CheckReport report =
+      check(config, Workload::lease(lease_factory(false)));
   ASSERT_GT(report.mutex_violations, 0u)
       << "planted no-fence recovery bug was not caught: "
       << report.summary();
@@ -143,7 +148,7 @@ TEST_P(PlantedNoFenceBug, IsCaughtWithAReplayableCounterexample) {
   const rma::SimOptions replay = replay_options(
       config, report.first_failure.world_seed, report.first_failure.trace);
   const ScheduleOutcome outcome =
-      run_lease_schedule(config, lease_factory(false), replay);
+      Workload::lease(lease_factory(false))(config, replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the epoch violation";
   EXPECT_GE(outcome.run.injected[rma::FaultKind::kCrash], 1u)
@@ -163,8 +168,9 @@ TEST(CrashMc, PlantedNoFenceBugIsCaughtByExhaustiveEnumeration) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_lease_exhaustive(
-      config, explore, lease_factory(false), /*iterative=*/true);
+  const CheckReport report =
+      check_exhaustive(config, explore, Workload::lease(lease_factory(false)),
+                       /*iterative=*/true);
   EXPECT_GT(report.mutex_violations, 0u)
       << "exhaustive enumeration missed the planted bug: "
       << report.summary();

@@ -115,8 +115,8 @@ TEST(DriftMcMonitor, StaleCommitsAreTokenInversionsInAdmissionOrder) {
 }
 
 TEST(DriftMc, RandomizedFencedCampaignIsClean) {
-  const CheckReport report = check_drift(drift_config(20),
-                                         drift_factory(/*margin=*/true));
+  const CheckReport report = check(
+      drift_config(20), Workload::drift(drift_factory(/*margin=*/true)));
   EXPECT_EQ(report.schedules_run, 20u);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.stale_token_commits, 0u);
@@ -127,15 +127,16 @@ TEST(DriftMc, DriftBlindMargin0CampaignIsAFalseNegative) {
   // Under perfect clocks the margin-0 lease is actually safe — the false
   // negative the drift model exists to prevent. A clean report here plus
   // the caught-bug tests below is the armed/disarmed contrast.
-  const CheckReport report = check_drift(
-      drift_config(20, /*drift_events=*/0), drift_factory(/*margin=*/false));
+  const CheckReport report =
+      check(drift_config(20, /*drift_events=*/0),
+            Workload::drift(drift_factory(/*margin=*/false)));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
   CheckConfig config = drift_config(60);
   const CheckReport report =
-      check_drift(config, drift_factory(/*margin=*/false));
+      check(config, Workload::drift(drift_factory(/*margin=*/false)));
   ASSERT_GT(report.mutex_violations, 0u)
       << "planted zero-margin lease bug was not caught: " << report.summary();
   // Fencing stays ON: the belief overlap is real but the stale holder's
@@ -148,8 +149,8 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
   // the recorded world seed deterministically reproduces the violation.
   const rma::SimOptions replay = replay_options(
       config, report.first_failure.world_seed, report.first_failure.trace);
-  const ScheduleOutcome outcome = run_drift_schedule(
-      config, drift_factory(/*margin=*/false), replay);
+  const ScheduleOutcome outcome =
+      Workload::drift(drift_factory(/*margin=*/false))(config, replay);
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "counterexample trace does not reproduce the belief overlap";
   EXPECT_GT(outcome.run.injected[rma::FaultKind::kDrift], 0u)
@@ -157,8 +158,9 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtAndFencingContainsIt) {
 }
 
 TEST(DriftMc, PlantedSkipTokenCheckBugCommitsStaleWrites) {
-  const CheckReport report = check_drift(
-      drift_config(60), drift_factory(/*margin=*/false, /*skip_token=*/true));
+  const CheckReport report =
+      check(drift_config(60), Workload::drift(drift_factory(
+                                  /*margin=*/false, /*skip_token=*/true)));
   ASSERT_GT(report.mutex_violations, 0u) << report.summary();
   EXPECT_GT(report.stale_token_commits, 0u)
       << "without resource-side token validation the stale holder's write "
@@ -178,8 +180,9 @@ TEST(DriftMc, ExhaustiveFencedCampaignDrainsItsSpaceCleanly) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_drift_exhaustive(
-      config, explore, drift_factory(/*margin=*/true), /*iterative=*/true);
+  const CheckReport report = check_exhaustive(
+      config, explore, Workload::drift(drift_factory(/*margin=*/true)),
+      /*iterative=*/true);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.schedules_run, 1u);
   EXPECT_GT(report.exhausted_spaces, 0u)
@@ -193,8 +196,9 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtByExhaustiveEnumeration) {
   ExploreConfig explore;
   explore.max_schedules = 50'000;
   explore.max_preemptions = 2;
-  const CheckReport report = check_drift_exhaustive(
-      config, explore, drift_factory(/*margin=*/false), /*iterative=*/true);
+  const CheckReport report = check_exhaustive(
+      config, explore, Workload::drift(drift_factory(/*margin=*/false)),
+      /*iterative=*/true);
   ASSERT_GT(report.mutex_violations, 0u)
       << "exhaustive enumeration missed the planted bug: "
       << report.summary();
@@ -202,13 +206,14 @@ TEST(DriftMc, PlantedMargin0BugIsCaughtByExhaustiveEnumeration) {
 
   // Exhaustive drift counterexamples replay under kVirtualTime (the
   // policy the space was explored under); replay_options keys off
-  // config.policy, which check_drift_exhaustive forces.
+  // config.policy, which check_exhaustive sets from Workload::drift.
   CheckConfig replay_config = config;
   replay_config.policy = rma::SchedPolicy::kVirtualTime;
-  const ScheduleOutcome outcome = run_drift_schedule(
-      replay_config, drift_factory(/*margin=*/false),
-      replay_options(replay_config, report.first_failure.world_seed,
-                     report.first_failure.trace));
+  const ScheduleOutcome outcome =
+      Workload::drift(drift_factory(/*margin=*/false))(
+          replay_config,
+          replay_options(replay_config, report.first_failure.world_seed,
+                         report.first_failure.trace));
   EXPECT_GT(outcome.mutex_violations, 0u)
       << "exhaustive counterexample does not replay";
 }

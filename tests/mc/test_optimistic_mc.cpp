@@ -54,7 +54,8 @@ TEST(OptimisticMc, ArmedCampaignIsCleanOnTheCorrectImplementation) {
     config.writer_fraction = 0.5;
     config.faults.max_tears = 2;
     const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 2);
-    const auto report = mc::check_optimistic(config, factory, keys);
+    const auto report =
+        mc::check(config, mc::Workload::optimistic(factory, keys));
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_EQ(report.schedules_run, 20u);
     EXPECT_GT(report.total_cs_entries, 0u);
@@ -67,7 +68,8 @@ TEST(OptimisticMc, PlantedBugIsCaughtByBothStochasticPolicies) {
        {rma::SchedPolicy::kRandom, rma::SchedPolicy::kPct}) {
     mc::CheckConfig config = planted_bug_config(policy);
     const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 1);
-    const auto report = mc::check_optimistic(config, factory, keys);
+    const auto report =
+        mc::check(config, mc::Workload::optimistic(factory, keys));
     EXPECT_FALSE(report.ok())
         << "planted skip-validation bug survived policy "
         << (policy == rma::SchedPolicy::kRandom ? "random" : "pct");
@@ -78,10 +80,10 @@ TEST(OptimisticMc, PlantedBugIsCaughtByBothStochasticPolicies) {
 
     // The shrunk counterexample replays deterministically: same world
     // seed, recorded picks, violation re-fires.
-    const mc::ScheduleOutcome replayed = mc::run_optimistic_schedule(
-        config, factory, keys,
-        mc::replay_options(config, report.first_failure.world_seed,
-                           report.first_failure.trace));
+    const mc::ScheduleOutcome replayed =
+        mc::Workload::optimistic(factory, keys)(
+            config, mc::replay_options(config, report.first_failure.world_seed,
+                                       report.first_failure.trace));
     EXPECT_EQ(replayed.run.replay_divergences, 0u);
     EXPECT_GT(replayed.mutex_violations, 0u)
         << "shrunk trace no longer reproduces the violation";
@@ -100,7 +102,8 @@ TEST(OptimisticMc, TornReadBlindCampaignMissesThePlantedBug) {
     mc::CheckConfig config = planted_bug_config(policy);
     config.faults.max_tears = 0;  // blind
     const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 1);
-    const auto report = mc::check_optimistic(config, factory, keys);
+    const auto report =
+        mc::check(config, mc::Workload::optimistic(factory, keys));
     EXPECT_TRUE(report.ok())
         << "torn-read-blind campaign was expected to miss the planted bug: "
         << report.summary();
@@ -120,25 +123,26 @@ TEST(OptimisticMc, ExhaustiveDrainsCleanAndCatchesThePlantedBug) {
 
   const auto good = optimistic_factory(/*planted=*/false);
   const auto good_keys = mc::pick_cross_slot_keys(good, config.topology, 1);
-  const auto clean = mc::check_optimistic_exhaustive(
-      config, explore, good, good_keys, /*iterative=*/true);
+  const auto clean = mc::check_exhaustive(
+      config, explore, mc::Workload::optimistic(good, good_keys),
+      /*iterative=*/true);
   EXPECT_TRUE(clean.ok()) << clean.summary();
   EXPECT_EQ(clean.exhausted_spaces, 1u) << clean.summary();
 
   const auto bad = optimistic_factory(/*planted=*/true);
   const auto bad_keys = mc::pick_cross_slot_keys(bad, config.topology, 1);
-  const auto caught = mc::check_optimistic_exhaustive(
-      config, explore, bad, bad_keys, /*iterative=*/true);
+  const auto caught = mc::check_exhaustive(
+      config, explore, mc::Workload::optimistic(bad, bad_keys),
+      /*iterative=*/true);
   EXPECT_FALSE(caught.ok())
       << "bounded-exhaustive enumeration missed the planted bug";
   ASSERT_TRUE(caught.has_first_failure);
   EXPECT_FALSE(caught.first_failure.trace.empty());
 
   // The explorer's counterexample replays too.
-  const mc::ScheduleOutcome replayed = mc::run_optimistic_schedule(
-      config, bad, bad_keys,
-      mc::replay_options(config, caught.first_failure.world_seed,
-                         caught.first_failure.trace));
+  const mc::ScheduleOutcome replayed = mc::Workload::optimistic(bad, bad_keys)(
+      config, mc::replay_options(config, caught.first_failure.world_seed,
+                                 caught.first_failure.trace));
   EXPECT_EQ(replayed.run.replay_divergences, 0u);
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
@@ -154,9 +158,11 @@ TEST(OptimisticMc, ParallelCampaignIsByteIdenticalToSequential) {
   config.faults.max_tears = 2;
   const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 2);
   config.jobs = 1;
-  const auto sequential = mc::check_optimistic(config, factory, keys);
+  const auto sequential =
+      mc::check(config, mc::Workload::optimistic(factory, keys));
   config.jobs = 2;
-  const auto parallel = mc::check_optimistic(config, factory, keys);
+  const auto parallel =
+      mc::check(config, mc::Workload::optimistic(factory, keys));
   EXPECT_EQ(sequential.summary(), parallel.summary());
   EXPECT_EQ(sequential.total_cs_entries, parallel.total_cs_entries);
 }

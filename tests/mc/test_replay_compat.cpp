@@ -34,11 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "lockspace/lockspace.hpp"
-#include "locks/lease.hpp"
-#include "locks/rma_mcs.hpp"
-#include "locks/rma_rw.hpp"
 #include "mc/checker.hpp"
+#include "mc/registry.hpp"
 #include "mc/schedule.hpp"
 
 #ifndef RMALOCK_TEST_DATA_DIR
@@ -48,75 +45,9 @@
 namespace rmalock {
 namespace {
 
-// Same factories as mc_verification's workload registry: small thresholds
-// so short runs still cross the writer mode-switch (set_counters_to_write /
-// drain_readers / reset_counters) and level-passing paths that the
-// nonblocking conversion touched.
-mc::RwLockFactory rw_factory() {
-  return [](rma::World& world) {
-    locks::RmaRwParams params = locks::RmaRwParams::defaults(world.topology());
-    params.tr = 3;
-    params.locality.assign(static_cast<usize>(world.topology().num_levels()),
-                           2);
-    return std::make_unique<locks::RmaRw>(world, params);
-  };
-}
-
-mc::ExclusiveLockFactory exclusive_factory() {
-  return [](rma::World& world) {
-    locks::RmaMcsParams params =
-        locks::RmaMcsParams::defaults(world.topology());
-    params.locality.assign(static_cast<usize>(world.topology().num_levels()),
-                           2);
-    return std::make_unique<locks::RmaMcs>(world, params);
-  };
-}
-
-mc::LeaseLockFactory lease_factory() {
-  return [](rma::World& world) {
-    locks::RmaMcsParams inner =
-        locks::RmaMcsParams::defaults(world.topology());
-    inner.locality.assign(static_cast<usize>(world.topology().num_levels()),
-                          2);
-    return std::make_unique<locks::LeaseExclusive>(
-        world, std::make_unique<locks::RmaMcs>(world, inner),
-        locks::LeaseParams{});
-  };
-}
-
-mc::DriftLeaseFactory drift_factory() {
-  // mc_verification's "drift:fenced" subject: correct margin, token check
-  // on — the clean configuration, so the golden run stays violation-free.
-  return [](rma::World& world) {
-    mc::DriftLeaseSubject subject;
-    locks::TimedLeaseParams params;
-    params.home = 0;
-    subject.lease = std::make_unique<locks::TimedLease>(world, params);
-    lockspace::LockSpaceConfig config;
-    config.backend = locks::Backend::kRmaMcs;
-    config.shards = 1;
-    config.slots_per_shard = 1;
-    config.payload_words = 2;
-    subject.space = std::make_unique<lockspace::LockSpace>(world, config);
-    subject.key = 0;
-    return subject;
-  };
-}
-
-mc::LockSpaceFactory optimistic_factory() {
-  return [](rma::World& world) {
-    lockspace::LockSpaceConfig config;
-    config.backend = locks::Backend::kRmaRw;
-    config.slots_per_shard = 4;
-    config.payload_words = 2;
-    return std::make_unique<lockspace::LockSpace>(world, config);
-  };
-}
-
 struct GoldenCase {
   const char* file;      // under tests/mc/data/
-  const char* workload;  // "rw:rma-rw", "ex:rma-mcs", "lease:mcs", or
-                         // "opt:versioned"
+  const char* workload;  // mc::named_workload id
   topo::Topology topology;
   u64 world_seed;
   i32 acquires;
@@ -194,27 +125,12 @@ mc::CheckConfig config_for(const GoldenCase& c) {
   return config;
 }
 
-mc::ScheduleOutcome run_case(const GoldenCase& c, const mc::CheckConfig& config,
-                             const rma::SimOptions& opts) {
-  if (std::string(c.workload) == "rw:rma-rw") {
-    return mc::run_rw_schedule(config, rw_factory(), opts);
-  }
-  if (std::string(c.workload) == "lease:mcs") {
-    return mc::run_lease_schedule(config, lease_factory(), opts);
-  }
-  if (std::string(c.workload) == "opt:versioned") {
-    const auto factory = optimistic_factory();
-    const std::vector<u64> keys =
-        mc::pick_cross_slot_keys(factory, c.topology, 1);
-    return mc::run_optimistic_schedule(config, factory, keys, opts);
-  }
-  if (std::string(c.workload) == "timeout:rma-mcs") {
-    return mc::run_timeout_schedule(config, exclusive_factory(), opts);
-  }
-  if (std::string(c.workload) == "drift:fenced") {
-    return mc::run_drift_schedule(config, drift_factory(), opts);
-  }
-  return mc::run_exclusive_schedule(config, exclusive_factory(), opts);
+/// The golden's workload, resolved through the one registry
+/// mc_verification --replay uses — the goldens pin that replay path.
+mc::Workload workload_for(const GoldenCase& c) {
+  const auto workload = mc::named_workload(c.workload, c.topology);
+  EXPECT_TRUE(workload.has_value()) << "unknown workload " << c.workload;
+  return workload.value();
 }
 
 /// Records the golden traces with kRandom scheduling (regeneration mode).
@@ -225,7 +141,7 @@ void regenerate() {
     opts.seed = c.world_seed;
     opts.policy = c.policy();
     opts.record_schedule = true;
-    const mc::ScheduleOutcome outcome = run_case(c, config, opts);
+    const mc::ScheduleOutcome outcome = workload_for(c)(config, opts);
     ASSERT_TRUE(outcome.run.ok()) << c.file << ": golden run must be clean";
     if (c.faults.max_crashes > 0) {
       // A crash golden without a crash pins nothing — pick another seed.
@@ -285,7 +201,7 @@ TEST(ReplayCompat, GoldenTracesReplayBitIdentically) {
     rma::SimOptions opts =
         mc::replay_options(config, golden.world_seed, golden.trace);
     opts.record_schedule = true;  // re-record to compare pick-for-pick
-    const mc::ScheduleOutcome outcome = run_case(c, config, opts);
+    const mc::ScheduleOutcome outcome = workload_for(c)(config, opts);
 
     EXPECT_EQ(outcome.run.replay_divergences, 0u)
         << "a recorded pick named a rank that is no longer runnable there";

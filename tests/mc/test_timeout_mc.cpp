@@ -69,7 +69,7 @@ TEST(TimeoutMc, ArmedCampaignIsCleanWithCorrectBackoff) {
     config.max_steps = 4'000'000;
     config.faults.max_delays = 2;
     config.faults.max_partitions = 1;
-    const auto report = mc::check_timeout(config, mcs_factory());
+    const auto report = mc::check(config, mc::Workload::timed(mcs_factory()));
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_EQ(report.livelock_violations, 0u);
     EXPECT_GT(report.total_cs_entries, 0u);
@@ -89,7 +89,7 @@ TEST(TimeoutMc, PlantedNoBackoffIsCaughtByPctSchedules) {
   config.max_steps = 4'000'000;
   config.retry.backoff = false;
   config.faults.max_delays = 2;
-  const auto report = mc::check_timeout(config, mcs_factory());
+  const auto report = mc::check(config, mc::Workload::timed(mcs_factory()));
   EXPECT_GT(report.livelock_violations, 0u)
       << "planted no-backoff bug survived: " << report.summary();
   ASSERT_TRUE(report.has_first_failure);
@@ -97,10 +97,9 @@ TEST(TimeoutMc, PlantedNoBackoffIsCaughtByPctSchedules) {
   EXPECT_FALSE(report.first_failure.trace.empty());
 
   // The shrunk counterexample replays deterministically.
-  const mc::ScheduleOutcome replayed = mc::run_timeout_schedule(
-      config, mcs_factory(),
-      mc::replay_options(config, report.first_failure.world_seed,
-                         report.first_failure.trace));
+  const mc::ScheduleOutcome replayed = mc::Workload::timed(mcs_factory())(
+      config, mc::replay_options(config, report.first_failure.world_seed,
+                                 report.first_failure.trace));
   EXPECT_EQ(replayed.run.replay_divergences, 0u);
   EXPECT_GT(replayed.livelock_violations, 0u)
       << "shrunk trace no longer reproduces the livelock";
@@ -109,7 +108,8 @@ TEST(TimeoutMc, PlantedNoBackoffIsCaughtByPctSchedules) {
   // livelock is the retry policy's fault, not the scheduler's.
   mc::CheckConfig control = config;
   control.retry.backoff = true;
-  const auto control_report = mc::check_timeout(control, mcs_factory());
+  const auto control_report =
+      mc::check(control, mc::Workload::timed(mcs_factory()));
   EXPECT_TRUE(control_report.ok()) << control_report.summary();
 }
 
@@ -122,26 +122,24 @@ TEST(TimeoutMc, ExhaustiveDrainsCleanAndCatchesNoBackoff) {
   config.timeout_retry_rounds = 2;
   config.max_steps = 400'000;
 
-  const auto clean = mc::check_timeout_exhaustive(config, explore,
-                                                  mcs_factory(),
-                                                  /*iterative=*/true);
+  const auto clean = mc::check_exhaustive(
+      config, explore, mc::Workload::timed(mcs_factory()), /*iterative=*/true);
   EXPECT_TRUE(clean.ok()) << clean.summary();
   EXPECT_EQ(clean.exhausted_spaces, 1u) << clean.summary();
 
   mc::CheckConfig planted = config;
   planted.retry.backoff = false;
-  const auto caught = mc::check_timeout_exhaustive(planted, explore,
-                                                   mcs_factory(),
-                                                   /*iterative=*/true);
+  const auto caught = mc::check_exhaustive(
+      planted, explore, mc::Workload::timed(mcs_factory()),
+      /*iterative=*/true);
   EXPECT_GT(caught.livelock_violations, 0u)
       << "bounded-exhaustive enumeration missed the no-backoff livelock";
   ASSERT_TRUE(caught.has_first_failure);
   EXPECT_FALSE(caught.first_failure.trace.empty());
 
-  const mc::ScheduleOutcome replayed = mc::run_timeout_schedule(
-      planted, mcs_factory(),
-      mc::replay_options(planted, caught.first_failure.world_seed,
-                         caught.first_failure.trace));
+  const mc::ScheduleOutcome replayed = mc::Workload::timed(mcs_factory())(
+      planted, mc::replay_options(planted, caught.first_failure.world_seed,
+                                  caught.first_failure.trace));
   EXPECT_EQ(replayed.run.replay_divergences, 0u);
   EXPECT_GT(replayed.livelock_violations, 0u);
 }
@@ -163,27 +161,27 @@ TEST(RehomeMc, ExhaustiveDrainsCleanAndCatchesTheUnfencedMigration) {
 
   const auto fenced = rehome_factory(/*planted=*/false);
   const auto fenced_keys = mc::pick_cross_slot_keys(fenced, topology, 1);
-  const auto clean = mc::check_rehome_exhaustive(config, explore, fenced,
-                                                 fenced_keys,
-                                                 /*iterative=*/true);
+  const auto clean = mc::check_exhaustive(
+      config, explore, mc::Workload::rehome(fenced, fenced_keys),
+      /*iterative=*/true);
   EXPECT_TRUE(clean.ok()) << clean.summary();
   EXPECT_EQ(clean.exhausted_spaces, 1u) << clean.summary();
 
   const auto nofence = rehome_factory(/*planted=*/true);
   const auto nofence_keys = mc::pick_cross_slot_keys(nofence, topology, 1);
-  const auto caught = mc::check_rehome_exhaustive(config, explore, nofence,
-                                                  nofence_keys,
-                                                  /*iterative=*/true);
+  const auto caught = mc::check_exhaustive(
+      config, explore, mc::Workload::rehome(nofence, nofence_keys),
+      /*iterative=*/true);
   EXPECT_GT(caught.mutex_violations, 0u)
       << "bounded-exhaustive enumeration missed the unfenced re-homing";
   ASSERT_TRUE(caught.has_first_failure);
   EXPECT_EQ(caught.first_failure.kind, "mutex");
   EXPECT_FALSE(caught.first_failure.trace.empty());
 
-  const mc::ScheduleOutcome replayed = mc::run_rehome_schedule(
-      config, nofence, nofence_keys,
-      mc::replay_options(config, caught.first_failure.world_seed,
-                         caught.first_failure.trace));
+  const mc::ScheduleOutcome replayed =
+      mc::Workload::rehome(nofence, nofence_keys)(
+          config, mc::replay_options(config, caught.first_failure.world_seed,
+                                     caught.first_failure.trace));
   EXPECT_EQ(replayed.run.replay_divergences, 0u);
   EXPECT_GT(replayed.mutex_violations, 0u);
 }
@@ -200,14 +198,15 @@ TEST(RehomeMc, RandomSchedulesCatchTheUnfencedMigration) {
   config.max_steps = 4'000'000;
   const auto factory = rehome_factory(/*planted=*/true);
   const auto keys = mc::pick_cross_slot_keys(factory, config.topology, 1);
-  const auto report = mc::check_rehome(config, factory, keys);
+  const auto report = mc::check(config, mc::Workload::rehome(factory, keys));
   EXPECT_GT(report.mutex_violations, 0u)
       << "planted unfenced re-homing survived: " << report.summary();
 
   // The fenced space under the very same schedules stays clean.
   const auto fenced = rehome_factory(/*planted=*/false);
   const auto fenced_keys = mc::pick_cross_slot_keys(fenced, config.topology, 1);
-  const auto control = mc::check_rehome(config, fenced, fenced_keys);
+  const auto control =
+      mc::check(config, mc::Workload::rehome(fenced, fenced_keys));
   EXPECT_TRUE(control.ok()) << control.summary();
 }
 
