@@ -18,21 +18,27 @@
 //   task-pool     the mc-churn fleet driven through the work-stealing
 //                 TaskPool at jobs=1 (pool overhead vs the inline loop)
 //                 and jobs=all-cores (parallel campaign scaling) — the
-//                 overhead/scaling gate for the parallel campaign runtime.
+//                 overhead/scaling gate for the parallel campaign runtime;
+//   world-build   fresh-world set-up in the dht-volume shape: SimWorld::
+//                 create, one RMA-RW lock and a DHT, P swept like the
+//                 figures — the set-up record (docs/PERF.md, "What a world
+//                 costs").
 //
 // Metrics: engine_msteps_per_s (million scheduling-point steps / wall s),
-// sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, and for
+// sim_mops_per_s (million simulated RMA ops / wall s), wall_ms, for
 // mc-churn/task-pool worlds_per_s (plus speedup_vs_j1 for the parallel
-// pool). Run with --json BENCH_micro_engine.json and compare records
+// pool), and for world-build build_ms and create_ms. Run with --json BENCH_micro_engine.json and compare records
 // across revisions (docs/PERF.md).
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/timer.hpp"
+#include "dht/dht.hpp"
 #include "harness/bench_common.hpp"
 #include "harness/task_pool.hpp"
 #include "locks/rma_mcs.hpp"
+#include "locks/rma_rw.hpp"
 #include "rma/sim_world.hpp"
 
 namespace {
@@ -256,6 +262,35 @@ int main(int argc, char** argv) {
         report.value("task-pool/j1", topology.nprocs(), "worlds_per_s") > 0,
         "jobs=1 pool dispatch ran the mc-churn fleet to completion; "
         "compare worlds_per_s vs mc-churn across revisions for overhead");
+  }
+
+  // --- world-build: fresh-world set-up in the dht-volume shape -----------
+  {
+    // SimWorld::create, RmaRw defaults and a DHT with 256 buckets and an
+    // overflow heap of 8 entries per process (dht-volume sizes its heap to
+    // ~6.4 inserts per process). Set-up should grow with the state a run
+    // touches, not with P x window words. Fastest of 3 builds per P: the
+    // record tracks the cost, not the host's scheduling noise.
+    for (const i32 p : env.ps) {
+      Nanos best_build = 0;
+      Nanos best_create = 0;
+      for (i32 rep = 0; rep < 3; ++rep) {
+        const Timer timer;
+        auto world = rma::SimWorld::create(env.sim_options_for(p));
+        const Nanos create_ns = timer.elapsed_ns();
+        const locks::RmaRw lock(*world);
+        dht::DhtConfig config;
+        config.heap_entries = 8 * p;
+        const dht::DistributedHashTable table(*world, config);
+        const Nanos build_ns = timer.elapsed_ns();
+        if (rep == 0 || build_ns < best_build) best_build = build_ns;
+        if (rep == 0 || create_ns < best_create) best_create = create_ns;
+      }
+      report.add("world-build/rma-rw+dht", p, "build_ms",
+                 static_cast<double>(best_build) / 1e6);
+      report.add("world-build/rma-rw+dht", p, "create_ms",
+                 static_cast<double>(best_create) / 1e6);
+    }
   }
 
   report.check("rates are finite and positive",

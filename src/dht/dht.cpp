@@ -11,16 +11,17 @@ DistributedHashTable::DistributedHashTable(rma::World& world, DhtConfig config)
   next_free_ = world.allocate(1);
   table_ = world.allocate(static_cast<usize>(3 * config_.table_buckets));
   heap_ = world.allocate(static_cast<usize>(2 * config_.heap_entries));
+  // Only the table needs sentinels; fresh window words read 0, which is
+  // the empty cursor. Heap entries are left as allocated: both insert
+  // protocols write an entry's value and next before linking it, and every
+  // reader (snapshot included) reaches an entry only through a link, so no
+  // path reads an unlinked entry. Skipping them keeps construction
+  // O(P x buckets) instead of O(P x heap entries).
   for (Rank r = 0; r < world.nprocs(); ++r) {
-    world.write_word(r, next_free_, 0);
     for (i64 b = 0; b < config_.table_buckets; ++b) {
       world.write_word(r, bucket_value(b), kEmpty);
       world.write_word(r, bucket_head(b), kNilRank);
       world.write_word(r, bucket_last(b), kNilRank);
-    }
-    for (i64 h = 0; h < config_.heap_entries; ++h) {
-      world.write_word(r, heap_value(h), kEmpty);
-      world.write_word(r, heap_next(h), kNilRank);
     }
   }
 }

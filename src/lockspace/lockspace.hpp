@@ -26,12 +26,13 @@
 //   one window arena for the whole grid but builds no lock objects. A
 //   slot's backend instance is constructed on first touch — possibly mid
 //   run() — from its pre-reserved arena range. This is safe because window
-//   growth happened up front (SimWorld's waiter arena and ThreadWorld's
-//   atomic windows are already sized) and initialization writes target
-//   words no process has ever polled. In SimWorld the construction costs
-//   zero virtual time and adds no scheduling decisions, so replay and
-//   exhaustive enumeration are unaffected; in ThreadWorld first-touch is
-//   serialized per shard and published with release/acquire ordering.
+//   growth happened up front (both worlds' windows already hold the arena;
+//   SimWorld's waiter index is sized by P, not by window words) and
+//   initialization writes target words no process has ever polled. In
+//   SimWorld the construction costs zero virtual time and adds no
+//   scheduling decisions, so replay and exhaustive enumeration are
+//   unaffected; in ThreadWorld first-touch is serialized per shard and
+//   published with release/acquire ordering.
 // * Per-shard accounting: read/write acquire counters always; full
 //   rma::OpStats deltas per shard when track_op_stats is set (snapshot
 //   diff of the caller's per-process stats around each hold).

@@ -1,6 +1,9 @@
 #include "rma/sim_world.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -160,21 +163,29 @@ SimWorld::SimWorld(SimOptions opts)
         std::make_unique<Proc>(mix_seed(opts_.seed, static_cast<u64>(r))));
     procs_.back()->stats = OpStats(topology_.num_levels());
   }
-  windows_.resize(static_cast<usize>(p));
+  windows_.assign(static_cast<usize>(p), nullptr);
   nic_free_.assign(static_cast<usize>(p), 0);
   partition_until_.assign(static_cast<usize>(p), 0);
   remote_faults_ = armed(FaultKind::kDrift) || armed(FaultKind::kDelay) ||
                    armed(FaultKind::kPartition);
   // Distance classes are pure topology: precompute the P x P table once so
   // the per-op hot path is a byte load instead of a per-level division walk.
+  // Each row is filled level by level, coarse to fine: the origin's element
+  // at level i holds the ranks whose deepest shared level is i or deeper,
+  // so overwriting it with class N - i + 1 leaves every entry equal to
+  // distance_class (elements are contiguous rank blocks); self is class 0.
+  const i32 levels = topology_.num_levels();
   dclass_.resize(static_cast<usize>(p) * static_cast<usize>(p));
   for (Rank a = 0; a < p; ++a) {
-    for (Rank b = 0; b < p; ++b) {
-      dclass_[static_cast<usize>(a) * static_cast<usize>(p) +
-              static_cast<usize>(b)] =
-          static_cast<u8>(distance_class(topology_, a, b));
+    u8* row = dclass_.data() + static_cast<usize>(a) * static_cast<usize>(p);
+    for (i32 level = 1; level <= levels; ++level) {
+      const auto [first, last] =
+          topology_.rank_range(level, topology_.element_of(a, level));
+      std::fill(row + first, row + last, static_cast<u8>(levels - level + 1));
     }
+    row[a] = 0;
   }
+  resize_waiter_slots(64);
 }
 
 SimWorld::~SimWorld() {
@@ -186,12 +197,58 @@ SimWorld::~SimWorld() {
   }
 }
 
+namespace {
+/// Slabs at least this large are mapped directly; smaller ones come from
+/// calloc (no syscall, and a memset of at most this much).
+constexpr usize kMmapSlabBytes = usize{256} << 10;
+}  // namespace
+
+SimWorld::WindowSlab SimWorld::alloc_window_slab(usize words) {
+  const usize bytes = words * sizeof(i64);
+  void* slab = nullptr;
+  if (bytes >= kMmapSlabBytes) {
+    slab = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (slab == MAP_FAILED) slab = nullptr;
+  } else {
+    slab = std::calloc(words, sizeof(i64));
+  }
+  RMALOCK_CHECK_MSG(slab != nullptr,
+                    "cannot allocate " << bytes << " bytes of window memory");
+  return WindowSlab(static_cast<i64*>(slab), SlabFree(bytes));
+}
+
+void SimWorld::SlabFree::operator()(i64* slab) const {
+  if (bytes >= kMmapSlabBytes) {
+    munmap(slab, bytes);
+  } else {
+    std::free(slab);
+  }
+}
+
 void SimWorld::grow_windows(usize words) {
   RMALOCK_CHECK_MSG(!running_, "allocate() while run() in flight");
-  for (auto& w : windows_) w.resize(words, 0);
-  // No run is in flight, so every waiter list is empty: re-strides freely.
-  waiter_stride_ = words;
-  waiter_heads_.assign(static_cast<usize>(nprocs()) * words, -1);
+  // Words past window_dirty_ were never written, so they still read 0:
+  // growth within the stride writes nothing, and growth past it copies
+  // only each rank's dirty prefix into a fresh zeroed slab (nothing at all
+  // for a burst of allocate() calls with no writes between them). The
+  // stride at least doubles so a world built by many small allocate()
+  // calls copies O(total) words.
+  if (words > window_stride_) {
+    const usize stride = std::max(words, 2 * window_stride_);
+    // Waiter keys are u32 slab indices (waiter_cell).
+    RMALOCK_CHECK_MSG(static_cast<usize>(nprocs()) * stride < kNoCell,
+                      "windows of " << stride << " words on " << nprocs()
+                                    << " ranks exceed 2^32 words");
+    WindowSlab slab = alloc_window_slab(static_cast<usize>(nprocs()) * stride);
+    for (usize r = 0; r < windows_.size(); ++r) {
+      i64* window = slab.get() + r * stride;
+      if (window_dirty_ > 0) std::copy_n(windows_[r], window_dirty_, window);
+      windows_[r] = window;
+    }
+    window_slab_ = std::move(slab);
+    window_stride_ = stride;
+  }
 }
 
 i64 SimWorld::read_word(Rank rank, WinOffset offset) const {
@@ -202,6 +259,7 @@ i64 SimWorld::read_word(Rank rank, WinOffset offset) const {
 void SimWorld::write_word(Rank rank, WinOffset offset, i64 value) {
   RMALOCK_CHECK(!running_);
   windows_[static_cast<usize>(rank)][static_cast<usize>(offset)] = value;
+  window_dirty_ = std::max(window_dirty_, static_cast<usize>(offset) + 1);
 }
 
 void SimWorld::init_word(Rank rank, WinOffset offset, i64 value) {
@@ -210,6 +268,7 @@ void SimWorld::init_word(Rank rank, WinOffset offset, i64 value) {
   // fiber engine is single-threaded, and an untouched cell has no waiters
   // to wake and no poll snapshots to invalidate.
   windows_[static_cast<usize>(rank)][static_cast<usize>(offset)] = value;
+  window_dirty_ = std::max(window_dirty_, static_cast<usize>(offset) + 1);
 }
 
 OpStats SimWorld::aggregate_stats() const {
@@ -232,6 +291,7 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
                     "another SimWorld is running on this thread");
   running_ = true;
   stopping_ = false;
+  window_dirty_ = window_words();  // the run may write any word
   result_ = RunResult{};
   steps_ = 0;
   window_writes_ = 0;
@@ -294,14 +354,25 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
     if (!proc.stack) {
       proc.stack = StackPool::local().acquire(opts_.fiber_stack_bytes);
     }
-    proc.fiber.init(proc.stack.get(), opts_.fiber_stack_bytes, &fiber_entry);
+    // Stagger the stack tops in 64-byte steps: large stacks are
+    // page-aligned mmap chunks, so otherwise every fiber's hot frames share
+    // one page offset, and each context switch's register saves and
+    // restores collide in the same L1 sets and 4 KiB alias slots. The step
+    // follows the stack's page number, not the rank, so a pooled stack
+    // keeps its top across worlds (ASan's bookkeeping of reused fiber
+    // stacks relies on that); consecutive mappings get consecutive steps.
+    const usize colour =
+        reinterpret_cast<usize>(proc.stack.get()) / 4096 % 16 * 64;
+    proc.fiber.init(proc.stack.get(), opts_.fiber_stack_bytes - colour,
+                    &fiber_entry);
     if (opts_.policy == SchedPolicy::kVirtualTime) {
       ready_heap_.push(HeapEntry{proc.clock, r});
     } else {
       ready_list_.push_back(r);
     }
   }
-  std::fill(waiter_heads_.begin(), waiter_heads_.end(), -1);
+  // The waiter index is empty (checked when the previous run ended), so
+  // every node is free: restart the arena.
   waiter_nodes_.clear();
   waiter_free_ = -1;
 
@@ -312,6 +383,12 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
   // Control returns here once every process has finished.
   t_fiber_world = nullptr;
   body_ = nullptr;
+  // Every park unregisters before its process resumes (a stopping run
+  // included), so no registration may outlive the run: the next run
+  // starts from this index without clearing it.
+  RMALOCK_CHECK_MSG(waiter_cells_ == 0, "engine invariant: waiters on "
+                                            << waiter_cells_
+                                            << " cells outlived the run");
 
   result_.steps = steps_;
   result_.makespan_ns = 0;
@@ -691,8 +768,57 @@ i64 SimWorld::apply_to_window(OpKind kind, Rank target, WinOffset offset,
   }
 }
 
+usize SimWorld::waiter_slot(Rank target, WinOffset offset) const {
+  const u32 cell = waiter_cell(target, offset);
+  const usize mask = waiter_slots_.size() - 1;
+  usize slot = waiter_home(cell);
+  while (waiter_slots_[slot].cell != cell &&
+         waiter_slots_[slot].cell != kNoCell) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void SimWorld::erase_waiter_slot(usize hole) {
+  const usize mask = waiter_slots_.size() - 1;
+  for (usize next = (hole + 1) & mask; waiter_slots_[next].cell != kNoCell;
+       next = (next + 1) & mask) {
+    // The entry at `next` may move back into the hole iff its home slot
+    // does not lie cyclically in (hole, next].
+    const usize home = waiter_home(waiter_slots_[next].cell);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      waiter_slots_[hole] = waiter_slots_[next];
+      hole = next;
+    }
+  }
+  waiter_slots_[hole] = WaiterSlot{};
+  --waiter_cells_;
+}
+
+void SimWorld::resize_waiter_slots(usize slots) {
+  const std::vector<WaiterSlot> old = std::move(waiter_slots_);
+  waiter_slots_.assign(slots, WaiterSlot{});
+  waiter_shift_ = 32 - static_cast<u32>(std::countr_zero(slots));
+  const usize mask = slots - 1;
+  for (const WaiterSlot& entry : old) {
+    if (entry.cell == kNoCell) continue;
+    usize slot = waiter_home(entry.cell);
+    while (waiter_slots_[slot].cell != kNoCell) slot = (slot + 1) & mask;
+    waiter_slots_[slot] = entry;
+  }
+}
+
 void SimWorld::register_waiter(Rank target, WinOffset offset, Rank waiter) {
-  const usize cell = wait_cell(target, offset);
+  usize slot = waiter_slot(target, offset);
+  if (waiter_slots_[slot].cell == kNoCell) {
+    // A new cell: keep the load at most one half.
+    if (2 * (waiter_cells_ + 1) > waiter_slots_.size()) {
+      resize_waiter_slots(2 * waiter_slots_.size());
+      slot = waiter_slot(target, offset);
+    }
+    waiter_slots_[slot].cell = waiter_cell(target, offset);
+    ++waiter_cells_;
+  }
   i32 node;
   if (waiter_free_ != -1) {
     node = waiter_free_;
@@ -702,13 +828,13 @@ void SimWorld::register_waiter(Rank target, WinOffset offset, Rank waiter) {
     waiter_nodes_.emplace_back();
   }
   waiter_nodes_[static_cast<usize>(node)] =
-      WaiterNode{waiter, waiter_heads_[cell]};
-  waiter_heads_[cell] = node;
+      WaiterNode{waiter, waiter_slots_[slot].head};
+  waiter_slots_[slot].head = node;
 }
 
 void SimWorld::remove_waiter(Rank target, WinOffset offset, Rank waiter) {
-  const usize cell = wait_cell(target, offset);
-  i32* link = &waiter_heads_[cell];
+  const usize slot = waiter_slot(target, offset);
+  i32* link = &waiter_slots_[slot].head;  // -1 in an empty slot
   while (*link != -1) {
     WaiterNode& node = waiter_nodes_[static_cast<usize>(*link)];
     if (node.rank == waiter) {
@@ -716,6 +842,7 @@ void SimWorld::remove_waiter(Rank target, WinOffset offset, Rank waiter) {
       *link = node.next;
       node.next = waiter_free_;
       waiter_free_ = freed;
+      if (waiter_slots_[slot].head == -1) erase_waiter_slot(slot);
       return;
     }
     link = &node.next;
@@ -734,10 +861,10 @@ void SimWorld::trace_event_slow(Rank origin, obs::EventCode code, i64 a,
 }
 
 void SimWorld::wake_waiters(Rank target, WinOffset offset, Nanos write_time) {
-  const usize cell = wait_cell(target, offset);
-  i32 head = waiter_heads_[cell];
+  const usize slot = waiter_slot(target, offset);
+  i32 head = waiter_slots_[slot].head;
   if (head == -1) return;
-  waiter_heads_[cell] = -1;
+  erase_waiter_slot(slot);
   while (head != -1) {
     const Rank r = waiter_nodes_[static_cast<usize>(head)].rank;
     const i32 next = waiter_nodes_[static_cast<usize>(head)].next;
@@ -938,7 +1065,7 @@ i64 SimWorld::execute_op(Rank origin, OpKind kind, Rank target,
     self.stats.record(kind, dclass);
     RMALOCK_DCHECK(offset >= 0 &&
                    static_cast<usize>(offset) <
-                       windows_[static_cast<usize>(target)].size());
+                       window_words());
 
     // Cost accounting: a blocking op charges full end-to-end latency at the
     // op; a nonblocking op charges the origin only its injection slot here
@@ -1006,7 +1133,7 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   RMALOCK_DCHECK(target >= 0 && target < nprocs());
   RMALOCK_DCHECK(offset >= 0 &&
                  static_cast<usize>(offset) + n <=
-                     windows_[static_cast<usize>(target)].size());
+                     window_words());
   const i32 dclass = dclass_of(origin, target);
 
   const Nanos cost = remote_op_faults(origin, target, OpKind::kGet, dclass);
@@ -1046,7 +1173,7 @@ void SimWorld::execute_get_vec(Rank origin, Rank target, WinOffset offset,
   // a bounded number of times, then fall back to a lock), so it never parks.
   clear_polls(self);
   const usize prefix = split == 0 ? n : split;
-  const auto& win = windows_[static_cast<usize>(target)];
+  const i64* win = windows_[static_cast<usize>(target)];
   for (usize i = 0; i < prefix; ++i) {
     out[i] = win[static_cast<usize>(offset) + i];
   }
@@ -1072,7 +1199,7 @@ TryResult SimWorld::execute_try_op(Rank origin, OpKind kind, Rank target,
   RMALOCK_DCHECK(target >= 0 && target < nprocs());
   RMALOCK_DCHECK(offset >= 0 &&
                  static_cast<usize>(offset) <
-                     windows_[static_cast<usize>(target)].size());
+                     window_words());
   const i32 dclass = dclass_of(origin, target);
   const Nanos cost = remote_op_faults(origin, target, kind, dclass);
   bump_step(origin);

@@ -1,13 +1,13 @@
 // SimWorld — deterministic virtual-time discrete-event RMA runtime.
 //
 // Role in the reproduction: the paper evaluates on a Cray XC30 with up to
-// 1024 MPI processes. This container has 2 cores, so wall-clock measurement
-// of real threads cannot reproduce any scaling behaviour. SimWorld instead
-// executes P cooperatively-scheduled processes (user-space fibers) whose RMA
-// operations advance per-process *virtual clocks* according to a
-// LatencyModel (distance-based cost + per-target NIC occupancy). Results
-// are deterministic for a given seed, and P sweeps to 1024 just like the
-// paper's.
+// 1024 MPI processes. A single host has a handful of cores, so wall-clock
+// measurement of real threads cannot reproduce any scaling behaviour.
+// SimWorld instead executes P cooperatively-scheduled processes (user-space
+// fibers) whose RMA operations advance per-process *virtual clocks*
+// according to a LatencyModel (distance-based cost + per-target NIC
+// occupancy). Results are deterministic for a given seed, and P sweeps to
+// 1024 just like the paper's.
 //
 // Execution model
 //   * Exactly one process runs at a time (fiber switching on one OS
@@ -454,13 +454,27 @@ class SimWorld final : public World {
   void make_runnable(Proc& proc, Rank rank);
   void unregister_waits(Proc& proc, Rank rank);
 
-  // --- waiter arena --------------------------------------------------------
-  [[nodiscard]] usize wait_cell(Rank target, WinOffset offset) const {
-    return static_cast<usize>(target) * waiter_stride_ +
-           static_cast<usize>(offset);
+  // --- waiter index --------------------------------------------------------
+  /// Key of cell (target, offset): its word index in the window slab.
+  [[nodiscard]] u32 waiter_cell(Rank target, WinOffset offset) const {
+    return static_cast<u32>(static_cast<usize>(target) * window_stride_ +
+                            static_cast<usize>(offset));
+  }
+  /// Home slot of a cell: Fibonacci hashing (the multiply spreads the key
+  /// into the top bits, which pick the slot).
+  [[nodiscard]] usize waiter_home(u32 cell) const {
+    return static_cast<usize>((cell * 0x9e3779b9u) >> waiter_shift_);
   }
   void register_waiter(Rank target, WinOffset offset, Rank waiter);
   void remove_waiter(Rank target, WinOffset offset, Rank waiter);
+  /// The waiter_slots_ index holding cell (target, offset), or the empty
+  /// slot where it would go (linear probing from the cell's home slot).
+  [[nodiscard]] usize waiter_slot(Rank target, WinOffset offset) const;
+  /// Empties a slot, shifting later entries of its probe run back so every
+  /// lookup still ends at the first empty slot (no tombstones).
+  void erase_waiter_slot(usize slot);
+  /// Rehashes the index into `slots` slots (a power of two).
+  void resize_waiter_slots(usize slots);
 
   /// Distance class of (origin, target), precomputed (hot: once per op).
   [[nodiscard]] i32 dclass_of(Rank origin, Rank target) const {
@@ -511,8 +525,29 @@ class SimWorld final : public World {
 
   SimOptions opts_;
   std::vector<std::unique_ptr<Proc>> procs_;
-  std::vector<std::vector<i64>> windows_;  // [rank][offset]
-  std::vector<Nanos> nic_free_;            // per-rank NIC availability time
+
+  // Window storage: one slab of P x window_stride_ words, zeroed by its
+  // allocator rather than written: a large slab is fresh mmap memory, whose
+  // pages the kernel zero-fills on first touch; a small one comes from
+  // calloc, so a small MC world makes no syscall. A world therefore pays
+  // memory and writes only for the words it touches. windows_[rank] points
+  // at rank's window inside the slab.
+  struct SlabFree {
+    SlabFree() : bytes(0) {}
+    explicit SlabFree(usize slab_bytes) : bytes(slab_bytes) {}
+    usize bytes;  // the slab's size, which picks munmap or free
+    void operator()(i64* slab) const;
+  };
+  using WindowSlab = std::unique_ptr<i64[], SlabFree>;
+  [[nodiscard]] static WindowSlab alloc_window_slab(usize words);
+  WindowSlab window_slab_;
+  std::vector<i64*> windows_;  // [rank] -> word 0 of rank's window
+  usize window_stride_ = 0;    // words reserved per rank
+  // Per-rank prefix that may hold nonzero words: the reach of write_word
+  // and init_word, or every allocated word once a run has started.
+  usize window_dirty_ = 0;
+
+  std::vector<Nanos> nic_free_;  // per-rank NIC availability time
   // Gray model: per-rank virtual time until which the rank is unreachable
   // (transient partition). All-zero when the model is unarmed, making the
   // stall below a no-op.
@@ -521,20 +556,31 @@ class SimWorld final : public World {
   std::vector<Rank> fault_picks_;  // candidates of the fault decision
   bool remote_faults_ = false;     // a drift or gray budget is configured
 
-  // Parked-waiter arena: one singly-linked list of ranks per window cell
-  // (may hold stale entries for procs already woken; filtered by state on
-  // wake). Heads are indexed rank * waiter_stride_ + offset; nodes live in
-  // a free-listed per-world arena so parking never heap-allocates after
-  // warmup — the previous vector<vector<vector<Rank>>> shape paid an
-  // allocation per first park on every cell of every run.
+  // Parked-waiter index: one singly-linked list of ranks per window cell
+  // that has waiters (a list may hold stale entries for procs already
+  // woken; filtered by state on wake). An open-addressed table maps the
+  // cell to its list head. It doubles whenever a new cell would push its
+  // load past one half, so it is sized by the cells parked on at once (at
+  // most 4 per parked proc; 631 at P = 1024 in rmabench's dht-volume), not
+  // by window words, and wake_waiters on a cell without waiters costs about
+  // one probe into a table that stays cache-resident. The index is empty
+  // between runs (checked at every run's end), so neither allocate() nor
+  // run() has to clear it. Nodes live in a free-listed per-world arena, so
+  // parking never heap-allocates after warmup.
   struct WaiterNode {
     Rank rank = kNilRank;
     i32 next = -1;  // index into waiter_nodes_; -1 = end of chain
   };
-  std::vector<i32> waiter_heads_;  // -1 = empty cell
+  static constexpr u32 kNoCell = ~u32{0};
+  struct WaiterSlot {
+    u32 cell = kNoCell;  // waiter_cell(target, offset); kNoCell = empty
+    i32 head = -1;       // index into waiter_nodes_
+  };
+  std::vector<WaiterSlot> waiter_slots_;  // power-of-two size
+  u32 waiter_shift_ = 0;   // 32 - log2(waiter_slots_.size())
+  u32 waiter_cells_ = 0;   // occupied slots; 0 whenever no run is in flight
   std::vector<WaiterNode> waiter_nodes_;
-  i32 waiter_free_ = -1;  // free list threaded through WaiterNode::next
-  usize waiter_stride_ = 0;  // == window words per rank
+  i32 waiter_free_ = -1;   // free list threaded through WaiterNode::next
 
   // Scheduler state (valid during run()).
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>

@@ -6,7 +6,7 @@
 // to a seq_cst atomic operation, which implements the sequentially
 // consistent op semantics documented in comm.hpp.
 //
-// This runtime is for correctness work at small P (the host has 2 cores) —
+// This runtime is for correctness work at small P (a host has few cores) —
 // performance numbers come from SimWorld. Spin loops in the protocols are
 // kept livable under oversubscription by the same repeated-poll detector
 // SimWorld uses for parking: here it escalates an exponential backoff

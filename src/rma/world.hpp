@@ -103,7 +103,8 @@ class World {
 
   /// Collectively allocates `words` consecutive window words on every rank
   /// and returns their base offset (same on all ranks, like an MPI window
-  /// created over a symmetric heap). Must not be called during run().
+  /// created over a symmetric heap). The new words read 0 on every rank.
+  /// Must not be called during run().
   WinOffset allocate(usize words) {
     const WinOffset base = static_cast<WinOffset>(allocated_words_);
     allocated_words_ += words;

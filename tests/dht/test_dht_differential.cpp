@@ -101,9 +101,28 @@ void check_volumes_against_models(const DistributedHashTable& table,
   }
 }
 
-TEST(DhtDifferential, AtomicSequentialMatchesModel) {
+/// Overwrites the overflow heap of a table just constructed on `world`
+/// (the constructor's last allocation) on every rank with what a protocol
+/// reading an unlinked entry would trip over: values from the tests'
+/// range, and next links chaining the whole heap (finite, so such a read
+/// returns a wrong answer rather than hanging).
+void poison_heap(rma::World& world, const DhtConfig& config) {
+  const WinOffset heap = static_cast<WinOffset>(world.window_words()) -
+                         2 * static_cast<WinOffset>(config.heap_entries);
+  for (Rank r = 0; r < world.nprocs(); ++r) {
+    for (i64 h = 0; h < config.heap_entries; ++h) {
+      world.write_word(r, heap + 2 * h, 1 + h % 24);
+      world.write_word(r, heap + 2 * h + 1,
+                       h + 1 < config.heap_entries ? h + 1 : kNilRank);
+    }
+  }
+}
+
+/// One mutator drives insert_atomic/contains_atomic against the model.
+void run_atomic_sequential(bool poisoned_heap) {
   auto world = make_sim(topo::Topology::uniform({}, 3));
   DistributedHashTable table(*world, tight_config());
+  if (poisoned_heap) poison_heap(*world, table.config());
   std::vector<VolumeModel> models(3, VolumeModel(table));
   world->run([&](rma::RmaComm& comm) {
     if (comm.rank() != 0) return;  // single mutator: model order == op order
@@ -126,9 +145,12 @@ TEST(DhtDifferential, AtomicSequentialMatchesModel) {
   check_volumes_against_models(table, *world, models);
 }
 
-TEST(DhtDifferential, LockedSequentialMatchesModel) {
+/// One mutator drives insert_locked/contains_locked under RMA-RW against
+/// the model.
+void run_locked_sequential(bool poisoned_heap) {
   auto world = make_sim(topo::Topology::uniform({}, 3));
   DistributedHashTable table(*world, tight_config());
+  if (poisoned_heap) poison_heap(*world, table.config());
   locks::RmaRw lock(*world);
   std::vector<VolumeModel> models(3, VolumeModel(table));
   world->run([&](rma::RmaComm& comm) {
@@ -154,6 +176,24 @@ TEST(DhtDifferential, LockedSequentialMatchesModel) {
     }
   });
   check_volumes_against_models(table, *world, models);
+}
+
+TEST(DhtDifferential, AtomicSequentialMatchesModel) {
+  run_atomic_sequential(/*poisoned_heap=*/false);
+}
+
+TEST(DhtDifferential, LockedSequentialMatchesModel) {
+  run_locked_sequential(/*poisoned_heap=*/false);
+}
+
+// The constructor leaves heap entries unwritten: no protocol may read an
+// entry before linking it, so garbage there must change no result.
+TEST(DhtDifferential, AtomicSequentialIgnoresUnlinkedHeapWords) {
+  run_atomic_sequential(/*poisoned_heap=*/true);
+}
+
+TEST(DhtDifferential, LockedSequentialIgnoresUnlinkedHeapWords) {
+  run_locked_sequential(/*poisoned_heap=*/true);
 }
 
 /// Concurrent differential check: every rank inserts a disjoint random

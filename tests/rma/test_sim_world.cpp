@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "../support/test_support.hpp"
+#include "locks/rma_rw.hpp"
+#include "obs/trace.hpp"
 
 namespace rmalock::rma {
 namespace {
@@ -278,6 +280,149 @@ TEST(SimWorld, DeadlockIsDetectedAndReported) {
   });
   EXPECT_TRUE(res.deadlocked);
   EXPECT_FALSE(res.step_limit_hit);
+}
+
+TEST(SimWorld, GrowthKeepsWrittenWordsAndZeroesNewOnes) {
+  // Growth within the reserved stride and past it (small calloc'd slabs,
+  // then one large enough to be mapped directly): every word written so
+  // far, by write_word or by a run, survives on every rank, and every new
+  // word reads 0.
+  constexpr i32 kProcs = 8;
+  auto world = make_sim(topo::Topology::uniform({2}, kProcs / 2));
+  const auto stamp = [](Rank r, WinOffset o) { return 1'000'000 * r + o + 1; };
+  for (const usize words : {3u, 2u, 100u, 40'000u, 7u}) {
+    const WinOffset base = world->allocate(words);
+    const auto end = static_cast<WinOffset>(world->window_words());
+    for (Rank r = 0; r < kProcs; ++r) {
+      for (WinOffset o = 0; o < base; ++o) {
+        ASSERT_EQ(world->read_word(r, o), stamp(r, o)) << r << "@" << o;
+      }
+      for (WinOffset o = base; o < end; ++o) {
+        ASSERT_EQ(world->read_word(r, o), 0) << r << "@" << o;
+      }
+    }
+    if (words == 2 || words == 100) {
+      // The next allocate() grows past the stride: words a run wrote must
+      // be carried over too.
+      world->run([&](RmaComm& comm) {
+        for (WinOffset o = base; o < end; ++o) {
+          comm.put(stamp(comm.rank(), o), comm.rank(), o);
+        }
+      });
+    } else {
+      for (Rank r = 0; r < kProcs; ++r) {
+        for (WinOffset o = base; o < end; ++o) {
+          world->write_word(r, o, stamp(r, o));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimWorld, DistanceClassTableMatchesTopology) {
+  // The engine's precomputed distance classes, observed through the
+  // per-class op statistics: one put from every origin to every target
+  // must land in distance_class(origin, target).
+  const topo::Topology topologies[] = {
+      topo::Topology::uniform({}, 5),         // one level
+      topo::Topology::uniform({4}, 4),        // machine + nodes
+      topo::Topology::uniform({2, 3}, 2),     // machine + racks + nodes
+      topo::Topology::uniform({1, 4}, 3),     // degenerate middle level
+      topo::Topology::uniform({3, 1, 2}, 1),  // one process per leaf
+  };
+  for (const topo::Topology& topology : topologies) {
+    auto world = make_sim(topology);
+    const WinOffset off = world->allocate(1);
+    world->run([&](RmaComm& comm) {
+      for (Rank target = 0; target < comm.nprocs(); ++target) {
+        const i32 want = distance_class(topology, comm.rank(), target);
+        const u64 before = comm.stats().count(OpKind::kPut, want);
+        comm.put(1, target, off);
+        EXPECT_EQ(comm.stats().count(OpKind::kPut, want), before + 1)
+            << topology.describe() << ": " << comm.rank() << " -> "
+            << target;
+      }
+    });
+    EXPECT_EQ(world->aggregate_stats().total(OpKind::kPut),
+              static_cast<u64>(topology.nprocs() * topology.nprocs()));
+  }
+}
+
+/// RMA-RW readers and writers at P=64 (every fourth rank writes): parks
+/// and wakes on many cells at once.
+struct RwParkingLoad {
+  explicit RwParkingLoad(SimWorld& world) : lock(world) {}
+
+  void operator()(RmaComm& comm) {
+    const bool writer = comm.rank() % 4 == 0;
+    for (i32 i = 0; i < 6; ++i) {
+      if (writer) {
+        lock.acquire_write(comm);
+        comm.compute(200);
+        lock.release_write(comm);
+      } else {
+        lock.acquire_read(comm);
+        comm.compute(100);
+        lock.release_read(comm);
+      }
+    }
+  }
+
+  locks::RmaRw lock;
+};
+
+SimOptions parking_options(obs::Tracer* tracer = nullptr) {
+  SimOptions opts;
+  opts.topology = topo::Topology::uniform({4}, 16);  // P = 64
+  opts.seed = 5;
+  opts.tracer = tracer;
+  return opts;
+}
+
+TEST(SimWorld, RepeatedRunsMatchAFreshWorld) {
+  // Nothing a run leaves in the waiter index or the scheduler may leak
+  // into the next run: three runs on one world repeat a fresh world's run.
+  obs::Tracer tracer(64);
+  auto fresh = SimWorld::create(parking_options(&tracer));
+  RwParkingLoad fresh_load(*fresh);
+  const RunResult want = fresh->run(std::ref(fresh_load));
+  ASSERT_FALSE(want.deadlocked);
+  EXPECT_GT(tracer.count(obs::EventCode::kPark), 100u);
+
+  auto world = SimWorld::create(parking_options());
+  RwParkingLoad load(*world);
+  for (i32 run = 0; run < 3; ++run) {
+    const RunResult got = world->run(std::ref(load));
+    EXPECT_EQ(got.steps, want.steps) << "run " << run;
+    EXPECT_EQ(got.makespan_ns, want.makespan_ns) << "run " << run;
+  }
+}
+
+TEST(SimWorld, RunAfterDeadlockMatchesAFreshWorld) {
+  // A run stopped by deadlock detection while every process is parked on
+  // several cells, then a normal run: the second run must repeat what a
+  // fresh world does.
+  SimOptions opts = parking_options();
+  opts.abort_on_deadlock = false;
+  auto world = SimWorld::create(opts);
+  RwParkingLoad load(*world);
+  const WinOffset flags = world->allocate(2);
+  const RunResult stuck = world->run([&](RmaComm& comm) {
+    // Polls two cells nobody ever writes: parks on both.
+    const Rank home = (comm.rank() + 1) % comm.nprocs();
+    while (comm.get(home, flags) == 0 && comm.get(home, flags + 1) == 0) {
+    }
+  });
+  ASSERT_TRUE(stuck.deadlocked);
+
+  auto fresh = SimWorld::create(parking_options());
+  RwParkingLoad fresh_load(*fresh);
+  fresh->allocate(2);
+  const RunResult want = fresh->run(std::ref(fresh_load));
+  const RunResult got = world->run(std::ref(load));
+  EXPECT_FALSE(got.deadlocked);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.makespan_ns, want.makespan_ns);
 }
 
 TEST(SimWorldDeathTest, DeadlockAbortsByDefault) {
