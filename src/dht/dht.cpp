@@ -43,9 +43,10 @@ bool DistributedHashTable::append_overflow_atomic(rma::RmaComm& comm,
     // and keeps the failure path to the single atomic the claim always pays.
     return false;
   }
-  // Initialize the element before publishing it.
-  comm.put(value, owner, heap_value(slot));
-  comm.put(kNilRank, owner, heap_next(slot));
+  // Initialize the element before publishing it; the flush completes both
+  // writes, so they pipeline like the locked protocol's.
+  comm.iput(value, owner, heap_value(slot));
+  comm.iput(kNilRank, owner, heap_next(slot));
   comm.flush(owner);
   // Publish: atomically take over the last-pointer, then link behind the
   // previous last element (or the bucket head if the chain was empty).
@@ -113,7 +114,7 @@ InsertStatus DistributedHashTable::insert_locked(rma::RmaComm& comm,
   const i64 slot_value = comm.get(owner, bucket_value(bucket));
   comm.flush(owner);
   if (slot_value == kEmpty) {
-    comm.put(value, owner, bucket_value(bucket));
+    comm.iput(value, owner, bucket_value(bucket));
     comm.flush(owner);
     return InsertStatus::kInserted;
   }
@@ -122,8 +123,10 @@ InsertStatus DistributedHashTable::insert_locked(rma::RmaComm& comm,
   i64 cursor = comm.get(owner, bucket_head(bucket));
   comm.flush(owner);
   while (cursor != kNilRank) {
-    const i64 element = comm.get(owner, heap_value(cursor));
-    const i64 next = comm.get(owner, heap_next(cursor));
+    i64 element = 0;
+    i64 next = 0;
+    comm.iget(owner, heap_value(cursor), &element);
+    comm.iget(owner, heap_next(cursor), &next);
     comm.flush(owner);
     if (element == value) return InsertStatus::kDuplicate;
     cursor = next;
@@ -136,16 +139,19 @@ InsertStatus DistributedHashTable::insert_locked(rma::RmaComm& comm,
     // so the cursor stays exactly at capacity here.
     return InsertStatus::kHeapFull;
   }
-  comm.put(slot + 1, owner, next_free_);
-  comm.put(value, owner, heap_value(slot));
-  comm.put(kNilRank, owner, heap_next(slot));
-  const i64 prev_last = comm.get(owner, bucket_last(bucket));
+  // Claim, initialize and read the chain's tail in one pipelined batch,
+  // then link in a second: two round trips, not six.
+  comm.iput(slot + 1, owner, next_free_);
+  comm.iput(value, owner, heap_value(slot));
+  comm.iput(kNilRank, owner, heap_next(slot));
+  i64 prev_last = 0;
+  comm.iget(owner, bucket_last(bucket), &prev_last);
   comm.flush(owner);
-  comm.put(slot, owner, bucket_last(bucket));
+  comm.iput(slot, owner, bucket_last(bucket));
   if (prev_last == kNilRank) {
-    comm.put(slot, owner, bucket_head(bucket));
+    comm.iput(slot, owner, bucket_head(bucket));
   } else {
-    comm.put(slot, owner, heap_next(prev_last));
+    comm.iput(slot, owner, heap_next(prev_last));
   }
   comm.flush(owner);
   return InsertStatus::kInserted;
@@ -155,7 +161,9 @@ bool DistributedHashTable::contains_locked(rma::RmaComm& comm, Rank owner,
                                            i64 value) const {
   // Under the reader lock the structure is stable, so plain RDMA gets
   // suffice — this is the payoff of lock-protected reads versus foMPI-A's
-  // atomic fetches (Fig. 6): gets pipeline through the target NIC.
+  // atomic fetches (Fig. 6): an entry's value and next are two igets that
+  // pipeline through the target NIC behind one flush, so each entry costs
+  // one round trip where foMPI-A pays two serialized atomics.
   const i64 bucket = bucket_of(value);
   const i64 slot_value = comm.get(owner, bucket_value(bucket));
   comm.flush(owner);
@@ -164,8 +172,10 @@ bool DistributedHashTable::contains_locked(rma::RmaComm& comm, Rank owner,
   i64 cursor = comm.get(owner, bucket_head(bucket));
   comm.flush(owner);
   while (cursor != kNilRank) {
-    const i64 element = comm.get(owner, heap_value(cursor));
-    const i64 next = comm.get(owner, heap_next(cursor));
+    i64 element = 0;
+    i64 next = 0;
+    comm.iget(owner, heap_value(cursor), &element);
+    comm.iget(owner, heap_next(cursor), &next);
     comm.flush(owner);
     if (element == value) return true;
     cursor = next;

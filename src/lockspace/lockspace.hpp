@@ -27,11 +27,11 @@
 //   slot's backend instance is constructed on first touch — possibly mid
 //   run() — from its pre-reserved arena range. This is safe because window
 //   growth happened up front (both worlds' windows already hold the arena;
-//   SimWorld's waiter index is sized by P, not by window words) and
-//   initialization writes target words no process has ever polled. In
-//   SimWorld the construction costs zero virtual time and adds no
-//   scheduling decisions, so replay and exhaustive enumeration are
-//   unaffected; in ThreadWorld first-touch is serialized per shard and
+//   SimWorld's waiter index is sized by the cells parked on at once, not
+//   by window words) and initialization writes target words no process
+//   has ever polled. In SimWorld the construction costs zero virtual time
+//   and adds no scheduling decisions, so replay and exhaustive enumeration
+//   are unaffected; in ThreadWorld first-touch is serialized per shard and
 //   published with release/acquire ordering.
 // * Per-shard accounting: read/write acquire counters always; full
 //   rma::OpStats deltas per shard when track_op_stats is set (snapshot

@@ -15,17 +15,18 @@
 // immediately after value-returning calls, so the stronger model here
 // changes no protocol behaviour. Flush remains a completion/cost point.
 //
-// Nonblocking issue: iput/iaccumulate are the pipelined variants of
-// put/accumulate (MPI-3 request-based RMA, foMPI's nonblocking puts). Their
-// effects are applied at issue like every other op, but their latency is
-// charged at the next flush(target) as max(completion times) — overlapped
-// issues to C targets cost ~1 round trip + C injection slots instead of C
-// round trips. Ordering guarantees: (1) a nonblocking op carries release
-// ordering — everything the issuer wrote before it is visible to any
-// process that observes its effect (lock handoffs may publish flags
-// directly with iput); (2) effects are visible to other processes no later
-// than the issuer's next flush(target), which also orders two nonblocking
-// ops on either side of it.
+// Nonblocking issue: iput/iaccumulate/iget are the pipelined variants of
+// put/accumulate/get (MPI-3 request-based RMA, foMPI's nonblocking puts and
+// gets). Their effects are applied at issue like every other op, but their
+// latency is charged at the next flush(target) as max(completion times) —
+// C overlapped issues (to C targets, or to C words of one target) cost ~1
+// round trip + C injection slots instead of C round trips. An iget's result
+// is defined only after the next flush(target). Ordering guarantees: (1) a
+// nonblocking write carries release ordering — everything the issuer wrote
+// before it is visible to any process that observes its effect (lock
+// handoffs may publish flags directly with iput); (2) effects are visible
+// to other processes no later than the issuer's next flush(target), which
+// also orders two nonblocking ops on either side of it.
 //
 // A window is an array of 64-bit signed words per process; offsets are word
 // indices. The null rank ∅ is kNilRank (-1).
@@ -124,6 +125,13 @@ class RmaComm {
   virtual void iaccumulate(i64 oprd, Rank target, WinOffset offset,
                            AccumOp op) {
     accumulate(oprd, target, offset, op);
+  }
+
+  /// Pipelined get: *out is defined only after the next flush(target),
+  /// which charges the round trip. The default is the blocking get, which
+  /// fills *out at once — a stronger guarantee than the contract asks.
+  virtual void iget(Rank target, WinOffset offset, i64* out) {
+    *out = get(target, offset);
   }
 
   // --- deadline-aware single attempts --------------------------------------

@@ -45,15 +45,16 @@ inline constexpr usize kOpKindCount =
   return k == OpKind::kAccumulate || k == OpKind::kFao || k == OpKind::kCas;
 }
 
-/// Issue discipline of a non-value-returning RMA call. Blocking ops charge
-/// their full end-to-end latency at the call site. Nonblocking (i-prefixed)
-/// ops charge the origin only its NIC injection slot at issue; the request
-/// then pipelines toward the target, and the next flush(target) charges
+/// Issue discipline of a put/accumulate/get. Blocking ops charge their full
+/// end-to-end latency at the call site. Nonblocking (i-prefixed) ops charge
+/// the origin only its NIC injection slot at issue; the request then
+/// pipelines toward the target, and the next flush(target) charges
 /// completion as max(completion times) of everything pending there. Effects
 /// are applied at issue in both modes — the modes differ only in when the
-/// *cost* lands, which is how NICs pipeline puts to distinct targets.
-/// Value-returning ops (Get/FAO/CAS) are inherently blocking: the caller
-/// needs the result.
+/// *cost* lands, which is how NICs pipeline puts to distinct targets and
+/// gets to one target. A nonblocking get's value is read at issue but is
+/// the caller's only after the flush. FAO/CAS stay blocking: their callers
+/// act on the result at once.
 enum class IssueMode : u8 {
   kBlocking,
   kNonblocking,

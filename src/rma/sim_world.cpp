@@ -80,6 +80,10 @@ class SimComm final : public RmaComm {
     return world_.execute_op(rank_, OpKind::kGet, target, offset, 0, 0,
                              AccumOp::kSum);
   }
+  void iget(Rank target, WinOffset offset, i64* out) override {
+    *out = world_.execute_op(rank_, OpKind::kGet, target, offset, 0, 0,
+                             AccumOp::kSum, IssueMode::kNonblocking);
+  }
   void accumulate(i64 oprd, Rank target, WinOffset offset,
                   AccumOp op) override {
     world_.execute_op(rank_, OpKind::kAccumulate, target, offset, oprd, 0, op);
@@ -359,8 +363,8 @@ RunResult SimWorld::run(const std::function<void(RmaComm&)>& body) {
     // one page offset, and each context switch's register saves and
     // restores collide in the same L1 sets and 4 KiB alias slots. The step
     // follows the stack's page number, not the rank, so a pooled stack
-    // keeps its top across worlds (ASan's bookkeeping of reused fiber
-    // stacks relies on that); consecutive mappings get consecutive steps.
+    // keeps its top across worlds; consecutive mappings get consecutive
+    // steps.
     const usize colour =
         reinterpret_cast<usize>(proc.stack.get()) / 4096 % 16 * 64;
     proc.fiber.init(proc.stack.get(), opts_.fiber_stack_bytes - colour,

@@ -1,5 +1,11 @@
 #include "rma/stack_pool.hpp"
 
+#include "rma/fiber.hpp"
+
+#if RMALOCK_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace rmalock::rma {
 
 StackPool& StackPool::local() {
@@ -13,6 +19,12 @@ std::unique_ptr<char[]> StackPool::acquire(usize bytes) {
       std::unique_ptr<char[]> stack = std::move(sc.stacks.back());
       sc.stacks.pop_back();
       pooled_bytes_ -= bytes;
+#if RMALOCK_ASAN
+      // Fibers leave by switching away, so their frames never unwind and
+      // their ASan poison stays on the stack. Clear it: the next fiber's
+      // top may differ, and its frames must not land on stale redzones.
+      ASAN_UNPOISON_MEMORY_REGION(stack.get(), bytes);
+#endif
       return stack;
     }
   }

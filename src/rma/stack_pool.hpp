@@ -12,7 +12,8 @@
 // a SimWorld run on the thread that calls run(), and worlds are created and
 // destroyed on that same thread in every existing driver. Stacks are never
 // zeroed on reuse — fiber entry rebuilds its frame from scratch, and a
-// simulated process only ever reads stack memory it wrote.
+// simulated process only ever reads stack memory it wrote. Under ASan a
+// reused stack is unpoisoned instead: its last fiber never unwound.
 #pragma once
 
 #include <memory>

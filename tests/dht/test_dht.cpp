@@ -284,5 +284,34 @@ TEST(Dht, HeapExhaustionDropsWithStatusLocked) {
   EXPECT_EQ(table.snapshot(*world, 0).size(), 3u);
 }
 
+TEST(Dht, LockedChainWalkCostsOneRoundTripPerEntry) {
+  // An absent value in a bucket with a three-entry chain, looked up on an
+  // idle remote owner: the bucket and head reads are blocking gets, then
+  // each entry's value and next are an iget pair behind one flush, which
+  // costs one round trip plus two injection slots (the blocking pair paid
+  // two round trips and a flush).
+  const topo::Topology topology = topo::Topology::uniform({2}, 1);
+  auto world = test::make_sim_xc30(topology);
+  const rma::LatencyModel model =
+      rma::LatencyModel::xc30(topology.num_levels());
+  DhtConfig config;
+  config.table_buckets = 1;
+  config.heap_entries = 8;
+  DistributedHashTable table(*world, config);
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() != 0) return;
+    for (i64 v = 1; v <= 4; ++v) {
+      ASSERT_EQ(table.insert_locked(comm, 1, v), InsertStatus::kInserted);
+    }
+    const Nanos cost = model.rma_ns[2];
+    const Nanos occ = model.rma_occupancy_ns[2];
+    const Nanos t0 = comm.now_ns();
+    EXPECT_FALSE(table.contains_locked(comm, 1, 99));
+    const Nanos head = 2 * (cost + occ + model.flush_ns);
+    EXPECT_EQ(comm.now_ns() - t0, head + 3 * (cost + 2 * occ));
+  });
+  EXPECT_EQ(table.overflow_used(*world, 1), 3);
+}
+
 }  // namespace
 }  // namespace rmalock::dht

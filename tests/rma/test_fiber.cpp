@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rma/stack_pool.hpp"
+
 #include <memory>
 #include <vector>
 
@@ -152,6 +154,77 @@ TEST(Fiber, ExceptionsUnwindInsideFiber) {
   Fiber::switch_to(state.main, state.worker);
   EXPECT_TRUE(state.caught);
   g_throw = nullptr;
+}
+
+// A fiber never unwinds: it leaves by switching away, so the sanitizer
+// poison of its live frames stays on its stack. A pooled stack handed to a
+// fiber whose stack top differs must not carry that poison into the new
+// fiber's frames (its exception unwinder runs over them).
+struct AbandonState {
+  Fiber main;
+  Fiber worker;
+  bool caught = false;
+};
+AbandonState* g_abandon = nullptr;
+
+[[gnu::noinline]] int abandon_in_frames(int depth) {
+  volatile char buffer[512];  // redzones around it are poisoned on entry
+  for (usize i = 0; i < sizeof(buffer); ++i) {
+    buffer[i] = static_cast<char>(depth);
+  }
+  if (depth > 0) return abandon_in_frames(depth - 1) + buffer[7];
+  // Leave mid-frame for good: nothing below returns.
+  Fiber::switch_to(g_abandon->worker, g_abandon->main);
+  ADD_FAILURE() << "abandoned fiber resumed";
+  return buffer[0];
+}
+
+void abandon_entry() {
+  Fiber::on_entry();
+  abandon_in_frames(8);
+}
+
+[[gnu::noinline]] void throw_through_frames(int depth) {
+  volatile char buffer[256];
+  buffer[0] = static_cast<char>(depth);
+  if (depth == 0) throw 7;
+  throw_through_frames(depth - 1);
+  buffer[1] = buffer[0];
+}
+
+void throw_after_reuse_entry() {
+  Fiber::on_entry();
+  try {
+    throw_through_frames(4);
+  } catch (int v) {
+    g_abandon->caught = (v == 7);
+  }
+  Fiber::switch_to(g_abandon->worker, g_abandon->main);
+}
+
+TEST(StackPool, ReusedStackAtAnotherTopThrowsAndCatches) {
+  constexpr usize kBytes = 64 * 1024;
+  StackPool pool;
+  std::unique_ptr<char[]> stack = pool.acquire(kBytes);
+  const char* const first = stack.get();
+  {
+    AbandonState state;
+    g_abandon = &state;
+    state.worker.init(stack.get(), kBytes, &abandon_entry);
+    Fiber::switch_to(state.main, state.worker);  // returns mid-frame
+  }
+  pool.release(std::move(stack), kBytes);
+
+  stack = pool.acquire(kBytes);
+  ASSERT_EQ(stack.get(), first) << "the pool must hand the stack back";
+  AbandonState state;
+  g_abandon = &state;
+  // A top 1 KiB + 48 bytes lower: the new frames straddle the old ones.
+  state.worker.init(stack.get(), kBytes - 1072, &throw_after_reuse_entry);
+  Fiber::switch_to(state.main, state.worker);
+  EXPECT_TRUE(state.caught);
+  g_abandon = nullptr;
+  pool.release(std::move(stack), kBytes);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Nonblocking-op conformance: iput/iaccumulate semantics must be identical
-// on SimWorld and ThreadWorld, and SimWorld's pipelined cost accounting
-// must match the LatencyModel arithmetic exactly.
+// Nonblocking-op conformance: iput/iaccumulate/iget semantics must be
+// identical on SimWorld and ThreadWorld, SimWorld's pipelined cost
+// accounting must match the LatencyModel arithmetic exactly, and swapping
+// get for iget must not change a single scheduling decision.
 //
 // The portable contract (comm.hpp): effects are applied atomically; they
 // are guaranteed visible to other processes no later than the issuer's next
-// flush(target); a flush between two nonblocking ops orders them. Cost (a
-// SimWorld-only notion): issue charges the origin one injection slot
-// (occupancy), flush charges max(completion + return trip) of the ops
-// pending at the target.
+// flush(target); a flush between two nonblocking ops orders them; an iget's
+// result is defined after the next flush(target). Cost (a SimWorld-only
+// notion): issue charges the origin one injection slot (occupancy), flush
+// charges max(completion + return trip) of the ops pending at the target.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,6 +121,103 @@ TEST(Nonblocking, EffectsApplyAtIssueInEngineOrderOnSimWorld) {
     comm.flush(1);
     EXPECT_EQ(v, 9);
   });
+}
+
+/// Every rank reads its right neighbour's cells with blocking gets and
+/// with pipelined iget pairs; after the flush both must agree with the
+/// values written before the run.
+void check_iget_matches_get(rma::World& world) {
+  const WinOffset cells = world.allocate(4);
+  for (Rank r = 0; r < world.nprocs(); ++r) {
+    for (WinOffset i = 0; i < 4; ++i) {
+      world.write_word(r, cells + i, 100 * r + i);
+    }
+  }
+  std::atomic<i64> wrong{0};
+  const auto result = world.run([&](rma::RmaComm& comm) {
+    const Rank peer = (comm.rank() + 1) % comm.nprocs();
+    for (WinOffset i = 0; i < 4; i += 2) {
+      const i64 a = comm.get(peer, cells + i);
+      const i64 b = comm.get(peer, cells + i + 1);
+      comm.flush(peer);
+      i64 ia = -1;
+      i64 ib = -1;
+      comm.iget(peer, cells + i, &ia);
+      comm.iget(peer, cells + i + 1, &ib);
+      comm.flush(peer);
+      if (ia != a || ib != b || a != 100 * peer + i || b != a + 1) {
+        wrong.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(Nonblocking, IgetMatchesGetOnSimWorld) {
+  auto world = test::make_sim(topo::Topology::uniform({2}, 2));
+  check_iget_matches_get(*world);
+}
+
+TEST(Nonblocking, IgetMatchesGetOnThreadWorld) {
+  auto world = test::make_threads(topo::Topology::uniform({2}, 2));
+  check_iget_matches_get(*world);
+}
+
+/// A model-checking body whose reads are either blocking gets or iget
+/// pairs: each rank reads two cells of its neighbour, flushes, and folds
+/// them into its own cells, several times over.
+void run_read_fold_body(rma::RmaComm& comm, WinOffset cells, bool use_iget) {
+  const Rank peer = (comm.rank() + 1) % comm.nprocs();
+  for (int round = 0; round < 4; ++round) {
+    i64 a = 0;
+    i64 b = 0;
+    if (use_iget) {
+      comm.iget(peer, cells, &a);
+      comm.iget(peer, cells + 1, &b);
+    } else {
+      a = comm.get(peer, cells);
+      b = comm.get(peer, cells + 1);
+    }
+    comm.flush(peer);
+    comm.accumulate(a + 1, comm.rank(), cells, rma::AccumOp::kSum);
+    comm.put(b * 3 + a + comm.rank(), comm.rank(), cells + 1);
+    comm.flush(comm.rank());
+  }
+}
+
+TEST(Nonblocking, IgetIsSchedulingNeutralUnderRandomPolicy) {
+  // Same seed, same body shape: the iget variant must take every
+  // scheduling decision the get variant takes and leave identical windows.
+  struct Outcome {
+    std::vector<Rank> picks;
+    std::vector<i64> window;
+  };
+  const auto run_variant = [](bool use_iget) {
+    rma::SimOptions opts;
+    opts.topology = topo::Topology::uniform({2}, 2);
+    opts.latency = rma::LatencyModel::xc30(opts.topology.num_levels());
+    opts.policy = rma::SchedPolicy::kRandom;
+    opts.seed = 77;
+    opts.record_schedule = true;
+    auto world = rma::SimWorld::create(std::move(opts));
+    const WinOffset cells = world->allocate(2);
+    const auto result = world->run([&](rma::RmaComm& comm) {
+      run_read_fold_body(comm, cells, use_iget);
+    });
+    EXPECT_FALSE(result.deadlocked);
+    Outcome out{result.schedule.picks, {}};
+    for (Rank r = 0; r < world->nprocs(); ++r) {
+      out.window.push_back(world->read_word(r, cells));
+      out.window.push_back(world->read_word(r, cells + 1));
+    }
+    return out;
+  };
+  const Outcome blocking = run_variant(false);
+  const Outcome pipelined = run_variant(true);
+  ASSERT_FALSE(blocking.picks.empty());
+  EXPECT_EQ(pipelined.picks, blocking.picks);
+  EXPECT_EQ(pipelined.window, blocking.window);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,6 +337,78 @@ TEST(NonblockingCost, PendingOpsStillQueueInTheTargetNic) {
     const Nanos expected = occ + cost / 2 + occ + (cost - cost / 2);
     EXPECT_EQ(comm.now_ns() - t0, std::max(model.flush_ns + 2 * occ,
                                            expected));
+  });
+}
+
+TEST(NonblockingCost, IgetPairToOneTargetIsOneRttPlusTwoInjections) {
+  // The chain-walk shape: read two words of one idle remote target, then
+  // flush. The second get departs one injection slot after the first and
+  // reaches the target NIC exactly when it frees, so the pair costs one
+  // round trip plus two slots instead of two round trips.
+  const topo::Topology topology = topo::Topology::uniform({2}, 1);
+  auto world = test::make_sim_xc30(topology);
+  const rma::LatencyModel model =
+      rma::LatencyModel::xc30(topology.num_levels());
+  const WinOffset cells = world->allocate(2);
+  world->write_word(1, cells, 5);
+  world->write_word(1, cells + 1, 6);
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() != 0) return;
+    const Nanos cost = model.rma_ns[2];
+    const Nanos occ = model.rma_occupancy_ns[2];
+    Nanos t0 = comm.now_ns();
+    i64 a = 0;
+    i64 b = 0;
+    comm.iget(1, cells, &a);
+    comm.iget(1, cells + 1, &b);
+    EXPECT_EQ(comm.now_ns() - t0, 2 * occ)
+        << "each issue costs exactly the origin's injection slot";
+    comm.flush(1);
+    EXPECT_EQ(comm.now_ns() - t0, cost + 2 * occ);
+    EXPECT_EQ(a, 5);
+    EXPECT_EQ(b, 6);
+
+    t0 = comm.now_ns();
+    (void)comm.get(1, cells);
+    (void)comm.get(1, cells + 1);
+    comm.flush(1);
+    EXPECT_EQ(comm.now_ns() - t0, 2 * (cost + occ) + model.flush_ns)
+        << "the blocking pair pays two serialized round trips";
+  });
+}
+
+TEST(NonblockingCost, SingleIgetCostsWhatItsGetCosts) {
+  // One iget and its flush cost exactly the blocking get's round trip. To
+  // a remote target the acknowledgement absorbs the flush's own cost, as
+  // for iput; to self both modes charge the op at issue, so iget+flush and
+  // get+flush are equal outright.
+  const topo::Topology topology = topo::Topology::uniform({2}, 1);
+  auto world = test::make_sim_xc30(topology);
+  const rma::LatencyModel model =
+      rma::LatencyModel::xc30(topology.num_levels());
+  const WinOffset cell = world->allocate(1);
+  world->run([&](rma::RmaComm& comm) {
+    if (comm.rank() != 0) return;
+    for (const Rank target : {Rank{1}, Rank{0}}) {
+      Nanos t0 = comm.now_ns();
+      (void)comm.get(target, cell);
+      const Nanos get_only = comm.now_ns() - t0;
+      comm.flush(target);
+      const Nanos get_flush = comm.now_ns() - t0;
+      t0 = comm.now_ns();
+      i64 v = -1;
+      comm.iget(target, cell, &v);
+      comm.flush(target);
+      const Nanos iget_flush = comm.now_ns() - t0;
+      EXPECT_EQ(v, 0);
+      if (target == 1) {
+        EXPECT_EQ(get_only, model.rma_ns[2] + model.rma_occupancy_ns[2]);
+        EXPECT_EQ(iget_flush, get_only);
+        EXPECT_EQ(iget_flush, get_flush - model.flush_ns);
+      } else {
+        EXPECT_EQ(iget_flush, get_flush);
+      }
+    }
   });
 }
 
