@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     // At F_W = 0% the paper reports foMPI-RW and RMA-RW as comparable; in
     // our NIC model the centralized reader FAO+ACC pair pays the full AMO
     // serialization at one rank, which splits the RW variants apart (see
-    // EXPERIMENTS.md E15). What the model *can* check: lock-protected
+    // docs/DESIGN.md §3.2). What the model *can* check: lock-protected
     // plain-get reads must not lose to the atomics variant, and the two
     // AMO-bound baselines must stay close to each other.
     const double rma = report.value("RMA-RW 0%", pmax, "total_time_ms");

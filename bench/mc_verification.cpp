@@ -8,8 +8,8 @@
 //
 //   (default)     randomized (uniform + PCT) schedules across the paper's
 //                 topologies, plus the reader-reset race demonstration
-//                 (DESIGN.md §2.5): the literal Listing 6/9 composition is
-//                 exercised under the same schedules;
+//                 (docs/DESIGN.md §2.5): the literal Listing 6/9
+//                 composition is exercised under the same schedules;
 //   --exhaustive  bounded-exhaustive DFS (iterative preemption deepening)
 //                 over small topologies — the SPIN-shaped systematic sweep;
 //   --replay <f>  deterministic re-execution of a recorded counterexample

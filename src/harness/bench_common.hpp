@@ -4,7 +4,8 @@
 // node, N = 2 machine levels), prints an aligned series table plus
 // machine-readable "CSV," lines, and ends with SHAPE-CHECK verdicts that
 // compare the measured ordering/ratios against the paper's qualitative
-// claims (absolute numbers are not expected to match — see EXPERIMENTS.md).
+// claims (absolute numbers are not expected to match — see docs/DESIGN.md
+// §3).
 //
 // Environment knobs:
 //   RMALOCK_PS     comma-separated P sweep override (e.g. "16,64,256")

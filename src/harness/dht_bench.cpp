@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "common/check.hpp"
+#include "harness/phases.hpp"
 
 namespace rmalock::harness {
 
@@ -14,46 +15,29 @@ using DhtOp = std::function<bool(rma::RmaComm&, bool insert, i64 value)>;
 
 DhtBenchResult run_dht_impl(rma::World& world, const DhtBenchConfig& config,
                             const DhtOp& op) {
-  RMALOCK_CHECK(config.ops_per_proc >= 1);
   const i32 nprocs = world.nprocs();
   RMALOCK_CHECK_MSG(nprocs >= 2, "DHT benchmark needs P >= 2");
-  const i32 warmup_ops = static_cast<i32>(
-      std::ceil(config.warmup_fraction * config.ops_per_proc));
-  std::vector<Nanos> t0(static_cast<usize>(nprocs));
-  std::vector<Nanos> t1(static_cast<usize>(nprocs));
   std::vector<u64> drops(static_cast<usize>(nprocs), 0);  // measured phase
   const u64 insert_permille =
       static_cast<u64>(std::lround(config.fw * 1000.0));
 
-  const rma::RunResult run = world.run([&](rma::RmaComm& comm) {
-    const bool participant = comm.rank() != config.volume_owner;
-    auto one_op = [&] {
-      const bool insert = comm.rng().chance(insert_permille, 1000);
-      // Values are per-op random; +1 keeps the kEmpty sentinel unused.
-      const i64 value =
-          static_cast<i64>(comm.rng().below(static_cast<u64>(config.key_range))) + 1;
-      return op(comm, insert, value);
-    };
-    comm.barrier();
-    if (participant) {
-      for (i32 i = 0; i < warmup_ops; ++i) (void)one_op();
-    }
-    comm.barrier();
-    t0[static_cast<usize>(comm.rank())] = comm.now_ns();
-    if (participant) {
-      for (i32 i = 0; i < config.ops_per_proc; ++i) {
-        if (one_op()) ++drops[static_cast<usize>(comm.rank())];
-      }
-    }
-    comm.barrier();
-    t1[static_cast<usize>(comm.rank())] = comm.now_ns();
-  });
-  RMALOCK_CHECK_MSG(run.ok(), "DHT benchmark run failed");
+  const PhaseResult phases = run_phases(
+      world, {config.ops_per_proc, 0},
+      [&](rma::RmaComm& comm, PhaseRecorder& rec) {
+        if (comm.rank() == config.volume_owner) return;  // hosts the data
+        const bool insert = comm.rng().chance(insert_permille, 1000);
+        // Values are per-op random; +1 keeps the kEmpty sentinel unused.
+        const auto range = static_cast<u64>(config.key_range);
+        const i64 value = static_cast<i64>(comm.rng().below(range)) + 1;
+        const Nanos start = comm.now_ns();
+        const bool dropped = op(comm, insert, value);
+        rec.record(insert, start);
+        if (dropped && rec.measured()) ++drops[static_cast<usize>(comm.rank())];
+      });
 
   DhtBenchResult result;
-  result.total_ops = static_cast<u64>(nprocs - 1) *
-                     static_cast<u64>(config.ops_per_proc);
-  result.elapsed_ns = t1[0] - t0[0];
+  result.total_ops = phases.all_us.count();
+  result.elapsed_ns = phases.elapsed_ns;
   for (const u64 d : drops) result.dropped_inserts += d;
   return result;
 }

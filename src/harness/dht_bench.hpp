@@ -26,11 +26,10 @@ struct DhtBenchConfig {
   Rank volume_owner = 0;
   /// Values are drawn uniformly from [0, key_range).
   i64 key_range = 1 << 16;
-  double warmup_fraction = 0.1;
 };
 
 struct DhtBenchResult {
-  u64 total_ops = 0;
+  u64 total_ops = 0;  // measured-phase ops; the volume owner runs none
   Nanos elapsed_ns = 0;
   /// Measured-phase inserts dropped with dht::InsertStatus::kHeapFull
   /// (overflow heap exhausted). The bench reports this as a rate instead of

@@ -18,13 +18,14 @@ struct Summary {
   usize n = 0;
 };
 
-/// Summarizes a sample (copies and sorts internally; empty input -> zeros).
+/// Summarizes a sample exactly (copies and sorts internally; empty input ->
+/// zeros). Used by fig10 and fig_crash_recovery, and by the tests as the
+/// exact reference for the histogram overload.
 Summary summarize(std::vector<double> values);
 
 /// Summarizes a streaming histogram: min/max/mean/stddev are exact (the
 /// histogram keeps exact moments), median and p95 carry the histogram's
-/// bounded relative error (<= 1/obs::LogHistogram::kSubBuckets). This is
-/// the O(1)-memory replacement for the sorted-vector path above.
+/// bounded relative error (<= 1/obs::LogHistogram::kSubBuckets).
 Summary summarize(const obs::LogHistogram& hist);
 
 /// Percentile of a sorted sample. The convention is linear interpolation

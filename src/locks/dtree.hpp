@@ -16,9 +16,9 @@
 // is generally *not* the process that enqueued there (the paper's own Fig. 2
 // walkthrough: W_x releases level 2 where W1 enqueued), so the node must
 // belong to the element — the design of Chabbi et al.'s HMCS, which §2.3.2
-// cites as DT's basis (see DESIGN.md §2.2). Queue entries are encoded as the
-// *host rank* of the enqueued node; with per-level offsets that identifies
-// the node uniquely.
+// cites as DT's basis (see docs/DESIGN.md §2.2). Queue entries are encoded
+// as the *host rank* of the enqueued node; with per-level offsets that
+// identifies the node uniquely.
 //
 // The paper's correctness argument (§4.1) applies: within one element, only
 // the current local winner climbs, so an element's node is used by at most

@@ -56,7 +56,7 @@ void RmaRw::drain_readers(rma::RmaComm& comm) {
       if (arrived < kWriteFlagThreshold) {
         // Defensive self-healing: the flag can only disappear through a
         // counter reset; re-apply and re-check (cannot fire with the
-        // flag-preserving reader reset, see DESIGN.md §2.5).
+        // flag-preserving reader reset, see docs/DESIGN.md §2.5).
         comm.iaccumulate(kWriteFlag, host, arrive_, rma::AccumOp::kSum);
         comm.flush(host);
         continue;
@@ -100,7 +100,7 @@ void RmaRw::reset_counters(rma::RmaComm& comm) {
 void RmaRw::reader_reset_counter(rma::RmaComm& comm, Rank counter) {
   if (params_.paper_faithful_reader_reset) {
     // Listing 6's reset_counter verbatim — subtracts the WRITE flag if it
-    // is set, which admits the mutual-exclusion race of DESIGN.md §2.5.
+    // is set, which admits the mutual-exclusion race of docs/DESIGN.md §2.5.
     const i64 arrived = comm.get(counter, arrive_);
     const i64 departed = comm.get(counter, depart_);
     comm.flush(counter);
@@ -114,13 +114,13 @@ void RmaRw::reader_reset_counter(rma::RmaComm& comm, Rank counter) {
   // Reclaim the departed quantum exactly once: claim DEPART by CAS'ing it
   // to zero, then subtract the claimed amount from ARRIVE. Blind paired
   // subtraction (the literal Listing 6 shape) is not safe once resets are
-  // concurrent (DESIGN.md §2.6): two resetters reading the same DEPART
+  // concurrent (docs/DESIGN.md §2.6): two resetters reading the same DEPART
   // both subtract it, the words go negative, and subsequent resets of
   // negative values swing ARRIVE with growing amplitude — eventually into
   // the WRITE-flag range with no writer around to clear it. The CAS claim
   // also never touches the WRITE flag, so a reader whose "no writers
   // waiting" check went stale cannot erase a just-arrived writer's flag
-  // (DESIGN.md §2.5).
+  // (docs/DESIGN.md §2.5).
   const i64 departed = comm.get(counter, depart_);
   comm.flush(counter);
   if (departed <= 0) return;  // nothing to reclaim (or already claimed)
@@ -155,7 +155,7 @@ void RmaRw::acquire_read_impl(rma::RmaComm& comm) {
       // the reset — but concurrent back-off decrements can reorder the
       // observed FAO values so that *no* reader sees exactly T_R while the
       // root queue is empty, leaving ARRIVE stuck at >= T_R forever (see
-      // DESIGN.md §2.6). Backed-off readers therefore share the reset
+      // docs/DESIGN.md §2.6). Backed-off readers therefore share the reset
       // duty: whoever observes a plain (unflagged) T_R overrun with no
       // writer queued reclaims the departed count (exactly once, via the
       // CAS claim in reader_reset_counter).

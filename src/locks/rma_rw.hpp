@@ -16,7 +16,7 @@
 //   DT  (distributed tree, §3.2.3): binds the DQs; writers climb from the
 //       leaves to the root, where they synchronize with readers. After
 //       T_L,1 root passes (≈ T_W = ∏ T_L,q writer CS entries, see
-//       DESIGN.md §2.3) the lock is handed to the readers (MODE_CHANGE);
+//       docs/DESIGN.md §2.3) the lock is handed to the readers (MODE_CHANGE);
 //       after T_R consecutive readers per counter, readers back off in
 //       favor of waiting writers.
 //
@@ -27,7 +27,7 @@
 // Protocol sources: writer levels N..2 — Listings 4/5 (via DistributedTree);
 // writer level 1 — Listings 7/8; counters — Listing 6; readers — Listings
 // 9/10. Deviations (writer read-drain, reader-side reset that preserves the
-// WRITE flag) are documented in DESIGN.md §2.4-2.5.
+// WRITE flag) are documented in docs/DESIGN.md §2.4-2.5.
 #pragma once
 
 #include <vector>
@@ -50,7 +50,7 @@ struct RmaRwParams {
   /// Use the *literal* Listing 6 reset_counter for the reader-side reset
   /// (Listing 9 line 20), which may erase a just-arrived writer's WRITE
   /// flag and break mutual exclusion under an adversarial schedule (see
-  /// DESIGN.md §2.5). Kept for the model-checking demonstration only.
+  /// docs/DESIGN.md §2.5). Kept for the model-checking demonstration only.
   bool paper_faithful_reader_reset = false;
 
   static RmaRwParams defaults(const topo::Topology& topo) {
@@ -131,7 +131,7 @@ class RmaRw final : public RwLock {
     return params_.locality[static_cast<usize>(q - 1)];
   }
 
-  // Listing 7 (with the §4.1 read-drain, see DESIGN.md §2.4).
+  // Listing 7 (with the §4.1 read-drain, see docs/DESIGN.md §2.4).
   void acquire_root_writer(rma::RmaComm& comm);
   // Listing 8.
   void release_root_writer(rma::RmaComm& comm);
@@ -144,7 +144,7 @@ class RmaRw final : public RwLock {
   // hold the lock, exactly the signal a threshold-exhausted release sends).
   void abandon_root_writer(rma::RmaComm& comm);
   // Reader-side counter reset: clears the departed readers but never the
-  // WRITE flag (DESIGN.md §2.5 — fixes a mutual-exclusion race in the
+  // WRITE flag (docs/DESIGN.md §2.5 — fixes a mutual-exclusion race in the
   // literal Listing 6/9 composition).
   void reader_reset_counter(rma::RmaComm& comm, Rank counter);
 

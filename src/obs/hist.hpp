@@ -1,10 +1,12 @@
 // Log-bucketed streaming histogram (HDR-style) with bounded relative error.
 //
-// Replaces the O(ops)-memory sorted-vector percentile paths: recording is
-// O(1), memory is O(occupied buckets), and quantile estimates carry a
-// bounded relative error of at most 1/kSubBuckets (~1.6%) — each power-of-
-// two octave [2^(e-1), 2^e) is split into kSubBuckets linear sub-buckets,
-// so a bucket's width never exceeds its lower edge / kSubBuckets.
+// The latency recorder of the measurement driver (harness/phases.hpp), and
+// so of every microbenchmark, the DHT bench and the workload engine:
+// recording is O(1), memory is O(occupied buckets), and quantile estimates
+// carry a bounded relative error of at most 1/kSubBuckets (~1.6%) — each
+// power-of-two octave [2^(e-1), 2^e) is split into kSubBuckets linear
+// sub-buckets, so a bucket's width never exceeds its lower edge /
+// kSubBuckets.
 //
 // Determinism: bucket indices come from std::frexp (exact mantissa/exponent
 // decomposition, no transcendental math), buckets live in a sorted map, and
@@ -13,9 +15,10 @@
 // bit-for-bit, including the floating-point running sums.
 //
 // Degenerate-input parity with harness::percentile_sorted (the exact R-7
-// path it replaces): empty -> 0, single sample -> that sample exactly,
-// pct <= 0 (and NaN) -> exact min, pct >= 100 -> exact max, estimates
-// clamped into [min, max].
+// path that fig9, fig10 and fig_crash_recovery still use, and that the
+// tests compare these estimates against): empty -> 0, single sample -> that
+// sample exactly, pct <= 0 (and NaN) -> exact min, pct >= 100 -> exact max,
+// estimates clamped into [min, max].
 #pragma once
 
 #include <map>

@@ -41,10 +41,9 @@ struct WorkloadConfig {
   /// Open loop: inter-arrival gap per process (mean, when poisson).
   Nanos interarrival_ns = 2000;
   bool poisson_arrivals = false;
-  /// Measured requests per process; an extra warmup_fraction share runs
-  /// (and is discarded) before measurement, as in §5.
+  /// Measured requests per process; an extra harness::kWarmupFraction
+  /// share runs (and is discarded) before measurement, as in §5.
   i32 ops_per_proc = 100;
-  double warmup_fraction = 0.1;
   /// Touch one remote word on the key's shard home inside the CS (readers
   /// get, writers put) — the SOB-style payload that makes a lock service
   /// out of a lock microbench. Off = empty CS.
@@ -71,11 +70,9 @@ struct WorkloadResult {
   harness::Summary latency_us;        // all requests
   harness::Summary read_latency_us;   // shared-mode requests
   harness::Summary write_latency_us;  // exclusive-mode requests
-  /// The streaming histograms behind the summaries above (µs; recording is
-  /// O(1) per request instead of the former O(ops) latency vectors).
-  /// Per-process histograms are merged in rank order, so the buckets and
-  /// running moments are bit-identical however the surrounding campaign is
-  /// parallelized. latency_hist_us merges reads before writes.
+  /// The streaming histograms behind the summaries above (µs), as merged
+  /// by harness::run_phases: rank order, reads before writes in
+  /// latency_hist_us, bit-identical however the campaign is parallelized.
   obs::LogHistogram latency_hist_us;
   obs::LogHistogram read_latency_hist_us;
   obs::LogHistogram write_latency_hist_us;

@@ -67,6 +67,26 @@ TEST(DhtBench, VolumeOwnerHostsData) {
   EXPECT_EQ(table.snapshot(*world, 0).size(), 0u);
 }
 
+TEST(DhtBench, CountsMeasuredOpsOfParticipantsOnly) {
+  // One bucket slot and one heap element: the warmup inserts fill both, so
+  // every measured insert is dropped. Warmup drops and the volume owner's
+  // (nonexistent) ops must not be counted.
+  auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+  dht::DhtConfig volume;
+  volume.table_buckets = 1;
+  volume.heap_entries = 1;
+  dht::DistributedHashTable table(*world, volume);
+  DhtBenchConfig config;
+  config.ops_per_proc = 10;
+  config.fw = 1.0;  // inserts only
+  config.volume_owner = 3;
+  const auto result = run_dht_atomics_bench(*world, table, config);
+  EXPECT_EQ(result.total_ops, 7u * 10u);
+  EXPECT_EQ(result.dropped_inserts, 7u * 10u);
+  EXPECT_DOUBLE_EQ(result.drop_rate(), 1.0);
+  EXPECT_EQ(table.snapshot(*world, 3).size(), 2u);
+}
+
 TEST(DhtBench, ReadOnlyWorkloadStoresNothing) {
   auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
   dht::DistributedHashTable table(*world, bench_volume());

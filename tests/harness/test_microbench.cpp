@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../support/test_support.hpp"
 #include "harness/bench_common.hpp"
+#include "harness/phases.hpp"
 #include "locks/d_mcs.hpp"
 #include "locks/rma_rw.hpp"
 
@@ -64,14 +67,41 @@ TEST(Microbench, EcsbProducesSaneNumbers) {
 }
 
 TEST(Microbench, WarmupIsDiscarded) {
-  auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
-  locks::DMcs lock(*world);
-  MicrobenchConfig config;
-  config.ops_per_proc = 10;
-  config.warmup_fraction = 0.5;
-  const BenchResult result = run_exclusive_bench(*world, lock, config);
-  // Only the measured ops are recorded.
-  EXPECT_EQ(result.latency_us.n, 8u * 10u);
+  // Every D-MCS acquire FAOs the tail exactly once, so the world's FAO
+  // count is the number of acquires run, warmup included.
+  const auto fao = [](const rma::OpStats& stats) {
+    return stats.total(rma::OpKind::kFao);
+  };
+  {
+    // Count mode: ceil(kWarmupFraction * ops) extra ops per process run
+    // first and are neither recorded nor counted in op_stats.
+    auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+    locks::DMcs lock(*world);
+    MicrobenchConfig config;
+    config.ops_per_proc = 20;
+    const BenchResult result = run_exclusive_bench(*world, lock, config);
+    const auto warmup = static_cast<u64>(std::ceil(kWarmupFraction * 20));
+    EXPECT_EQ(warmup, 2u);
+    EXPECT_EQ(result.latency_us.n, 8u * 20u);
+    EXPECT_EQ(fao(result.op_stats), 8u * 20u);
+    EXPECT_EQ(fao(world->aggregate_stats()), 8u * (20u + warmup));
+  }
+  {
+    // Duration mode: the leading kWarmupFraction of the window is warmup.
+    auto world = make_sim_xc30(topo::Topology::nodes(2, 4));
+    locks::DMcs lock(*world);
+    MicrobenchConfig config;
+    config.duration_ns = 400'000;
+    const BenchResult result = run_exclusive_bench(*world, lock, config);
+    const u64 measured = fao(result.op_stats);
+    const u64 warmup = fao(world->aggregate_stats()) - measured;
+    EXPECT_EQ(result.latency_us.n, measured);
+    EXPECT_EQ(result.total_acquires, measured);
+    EXPECT_GE(result.elapsed_ns, config.duration_ns);
+    // Roughly one warmup op per ten measured ones.
+    EXPECT_GT(warmup, measured / 20);
+    EXPECT_LT(warmup, measured / 5);
+  }
 }
 
 TEST(Microbench, WcsbIncludesCsWork) {
@@ -131,7 +161,6 @@ TEST(Microbench, OpStatsDeltaCoversMeasuredPhaseOnly) {
   locks::DMcs lock(*world);
   MicrobenchConfig config;
   config.ops_per_proc = 10;
-  config.record_op_stats = true;
   const BenchResult result = run_exclusive_bench(*world, lock, config);
   EXPECT_GT(result.op_stats.total_ops(), 0u);
   // Every acquire FAOs the tail exactly once.

@@ -1,7 +1,7 @@
 // Regression tests for the three RMA-RW protocol findings documented in
-// DESIGN.md §2.5–2.6 and EXPERIMENTS.md E17. Each scenario below deadlocked
-// or violated mutual exclusion with the literal paper listings (or with our
-// earlier, weaker fixes) and must stay fixed.
+// docs/DESIGN.md §2.5–2.6. Each scenario below deadlocked or violated
+// mutual exclusion with the literal paper listings (or with earlier,
+// weaker fixes) and must stay fixed.
 #include <gtest/gtest.h>
 
 #include "../support/test_support.hpp"
@@ -86,7 +86,7 @@ TEST(RmaRwRegression, ConcurrentResettersDoNotCorruptCounters) {
 // Finding 1 (WRITE-flag erasure): under adversarial random schedules the
 // literal Listing 6/9 reader reset can erase a just-arrived writer's flag
 // and admit a reader alongside the writer. The checker demonstrated 3
-// violations in 400 schedules on this configuration (EXPERIMENTS.md E17);
+// violations in 400 schedules on this configuration (docs/DESIGN.md §2.5);
 // the flag-preserving reset must stay clean on the same campaign.
 TEST(RmaRwRegression, FlagPreservingResetPassesAdversarialSchedules) {
   mc::CheckConfig config;

@@ -6,7 +6,7 @@
 // second planted bug — an RW lock whose reader-side counter reset clobbers
 // the WRITE flag — is not re-implemented here because the real RmaRw
 // already carries it behind RmaRwParams::paper_faithful_reader_reset
-// (DESIGN.md §2.5); tests instantiate that directly.
+// (docs/DESIGN.md §2.5); tests instantiate that directly.
 #pragma once
 
 #include <string>

@@ -434,7 +434,7 @@ RwLockFactory faithful_reset_rw_factory() {
 
 // Planted bug #2: the literal Listing 6/9 reader-side counter reset that
 // clobbers a concurrent writer's WRITE flag (real code path behind
-// RmaRwParams::paper_faithful_reader_reset; DESIGN.md §2.5). Seeds and
+// RmaRwParams::paper_faithful_reader_reset; docs/DESIGN.md §2.5). Seeds and
 // schedule counts are pinned to deterministic detections.
 TEST(Checker, PlantedRwWriteFlagClobberCaughtByRandom) {
   CheckConfig config;

@@ -199,7 +199,7 @@ TEST(Explorer, FindsPlantedMcsDeadlockAndShrinksIt) {
 
 TEST(Explorer, FindsPlantedRwWriteFlagClobber) {
   // The literal Listing 6/9 reader-side counter reset erases a concurrent
-  // writer's WRITE flag (DESIGN.md §2.5). One reader + one writer with
+  // writer's WRITE flag (docs/DESIGN.md §2.5). One reader + one writer with
   // T_R = 1 (reset on every reader departure) suffices; iterative
   // preemption deepening finds the race without enumerating the full space.
   CheckConfig config = tiny_config(2, 2);

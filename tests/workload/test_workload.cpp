@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 
+#include "../support/test_support.hpp"
 #include "lockspace/lockspace.hpp"
 #include "rma/sim_world.hpp"
 #include "workload/engine.hpp"
@@ -277,6 +278,27 @@ TEST(WorkloadEngine, PoissonOpenLoopRuns) {
   wc.interarrival_ns = 5000;
   const auto result = run_once(wc);
   EXPECT_EQ(result.total_ops, 8u * 40u);
+}
+
+TEST(WorkloadEngine, RunsOnThreadWorld) {
+  // Real threads write their per-rank latency recorders concurrently; the
+  // merged counts are exact even though the latencies are wall-clock.
+  for (const auto arrival :
+       {workload::Arrival::kClosed, workload::Arrival::kOpen}) {
+    auto world = test::make_threads(topo::Topology::uniform({2}, 2));
+    lockspace::LockSpaceConfig sc;
+    sc.slots_per_shard = 8;
+    lockspace::LockSpace space(*world, sc);
+    workload::WorkloadConfig wc = small_config();
+    wc.arrival = arrival;
+    const auto result = workload::run_workload(*world, space, wc);
+    EXPECT_EQ(result.total_ops, 4u * 40u);
+    EXPECT_EQ(result.read_ops + result.write_ops, result.total_ops);
+    EXPECT_EQ(result.latency_hist_us.count(), result.total_ops);
+    EXPECT_EQ(result.read_latency_hist_us.count(), result.read_ops);
+    EXPECT_EQ(result.write_latency_hist_us.count(), result.write_ops);
+    EXPECT_GT(result.elapsed_ns, 0);
+  }
 }
 
 TEST(WorkloadEngine, AllReadsOnRwBackendKeepsWritesAtZero) {
