@@ -214,11 +214,6 @@ FigureReport::SeriesPoint measure_point(const BenchEnv& env, i32 p,
   return point;
 }
 
-bool points_equal(const FigureReport::SeriesPoint& a,
-                  const FigureReport::SeriesPoint& b) {
-  return a.series == b.series && a.p == b.p && a.metrics == b.metrics;
-}
-
 }  // namespace
 }  // namespace rmalock::bench
 
@@ -289,20 +284,10 @@ int main(int argc, char** argv) {
   }
   run_point_tasks(env, report, points);
 
-  // Jobs-determinism self-check (virtual-time metrics are jobs-invariant).
-  const i32 p0 = ps.front();
-  const auto probe = [&] {
-    return measure_point(env, p0, "probe", Mode::kFenced, 0, mixes.back(),
-                         acquires_total);
-  };
-  const FigureReport::SeriesPoint inline_point = probe();
-  std::vector<FigureReport::SeriesPoint> pooled(2);
-  harness::TaskPool pool(2);
-  pool.run(2, [&](u64 i) { pooled[static_cast<usize>(i)] = probe(); });
-  report.check("virtual-time metrics identical across jobs",
-               points_equal(inline_point, pooled[0]) &&
-                   points_equal(inline_point, pooled[1]),
-               "same config measured inline vs on 2 pool workers");
+  check_jobs_invariant(report, [&] {
+    return measure_point(env, ps.front(), "probe", Mode::kFenced, 0,
+                         mixes.back(), acquires_total);
+  });
 
   const i32 pmax = ps.back();
 

@@ -228,26 +228,10 @@ int main(int argc, char** argv) {
   }
   run_point_tasks(env, report, tasks);
 
-  // Jobs-determinism self-check (virtual-time metrics are jobs-invariant).
-  {
-    const i32 p0 = env.ps.front();
-    const auto probe = [&] {
-      return recovery_point(env, "probe", p0, reps, locks::Backend::kRmaMcs,
-                            /*restart=*/false);
-    };
-    const FigureReport::SeriesPoint inline_point = probe();
-    std::vector<FigureReport::SeriesPoint> pooled(2);
-    harness::TaskPool pool(2);
-    pool.run(2, [&](u64 i) { pooled[static_cast<usize>(i)] = probe(); });
-    const auto equal = [](const FigureReport::SeriesPoint& a,
-                          const FigureReport::SeriesPoint& b) {
-      return a.series == b.series && a.p == b.p && a.metrics == b.metrics;
-    };
-    report.check("virtual-time metrics identical across jobs",
-                 equal(inline_point, pooled[0]) &&
-                     equal(inline_point, pooled[1]),
-                 "same config measured inline vs on 2 pool workers");
-  }
+  check_jobs_invariant(report, [&] {
+    return recovery_point(env, "probe", env.ps.front(), reps,
+                          locks::Backend::kRmaMcs, /*restart=*/false);
+  });
 
   bool all_recovered = true;
   bool one_crash_per_rep = true;

@@ -816,8 +816,8 @@ int main(int argc, char** argv) {
   const auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s [--smoke] [--quick] [--exhaustive] "
-                 "[--replay <trace-file>] [--trace-dir <dir>] "
-                 "[--jobs <n>] [--json <path>] [--trace-out <path>]\n",
+                 "[--replay <trace-file> [--trace-out <path>]] "
+                 "[--trace-dir <dir>] [--jobs <n>] [--json <path>]\n",
                  argv[0]);
     std::exit(2);
   };
@@ -848,8 +848,10 @@ int main(int argc, char** argv) {
       usage();
     }
   }
+  // Only a replay writes a trace (the replayed schedule's flight recorder).
   rmalock::harness::apply_bench_cli(static_cast<int>(passthrough.size()),
-                                    passthrough.data());
+                                    passthrough.data(),
+                                    /*writes_trace=*/!replay_path.empty());
   const harness::BenchEnv env = harness::BenchEnv::from_env();
 
   if (!replay_path.empty()) return run_replay(replay_path);

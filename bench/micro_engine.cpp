@@ -89,7 +89,7 @@ void add_rates(FigureReport& report, const std::string& series, i32 p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::apply_bench_cli(argc, argv);
+  harness::apply_bench_cli(argc, argv, /*writes_trace=*/true);
   const BenchEnv env = BenchEnv::from_env();
   FigureReport report(
       "micro_engine", "DES engine wall-clock throughput",

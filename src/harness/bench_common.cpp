@@ -96,7 +96,7 @@ const char* bench_git_rev() {
 #endif
 }
 
-void apply_bench_cli(int argc, char** argv) {
+void apply_bench_cli(int argc, char** argv, bool writes_trace) {
   for (i32 i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
@@ -111,13 +111,14 @@ void apply_bench_cli(int argc, char** argv) {
       setenv("RMALOCK_JOBS", argv[++i], /*overwrite=*/1);
     } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
       g_json_path = argv[++i];
-    } else if (std::strcmp(arg, "--trace-out") == 0 && i + 1 < argc) {
+    } else if (writes_trace && std::strcmp(arg, "--trace-out") == 0 &&
+               i + 1 < argc) {
       g_trace_out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--quick] [--jobs <n>] "
-                   "[--json <path>] [--trace-out <path>]\n",
-                   argv[0]);
+                   "[--json <path>]%s\n",
+                   argv[0], writes_trace ? " [--trace-out <path>]" : "");
       std::exit(2);
     }
   }

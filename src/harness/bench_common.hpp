@@ -18,7 +18,9 @@
 //                  "Parallel campaigns"
 //
 // Bench mains call apply_bench_cli(argc, argv) first, which maps the
-// --smoke / --quick / --jobs flags onto these knobs.
+// --smoke / --quick / --jobs flags onto these knobs (microbench_figures,
+// which runs the Fig. 3-5 panels as `microbench_figures <id> [flags]`,
+// peels off the figure id first).
 #pragma once
 
 #include <map>
@@ -72,10 +74,13 @@ struct BenchEnv {
 ///                  how to compare records across revisions)
 ///   --trace-out <path>  arm the deterministic event tracer for (part of)
 ///                  the run and write a Chrome trace-event / Perfetto JSON
-///                  file to <path> (see docs/OBSERVABILITY.md)
-/// Unknown arguments abort with a usage message. Must run before the first
-/// BenchEnv::from_env() call.
-void apply_bench_cli(int argc, char** argv);
+///                  file to <path> (see docs/OBSERVABILITY.md); accepted
+///                  only when the caller passes `writes_trace`, i.e. it
+///                  reads bench_trace_out_path() or calls
+///                  maybe_write_bench_trace
+/// Unknown arguments abort with a usage message and exit code 2. Must run
+/// before the first BenchEnv::from_env() call.
+void apply_bench_cli(int argc, char** argv, bool writes_trace = false);
 
 /// Path given via --json ("" when absent).
 [[nodiscard]] const std::string& bench_json_path();
@@ -111,6 +116,8 @@ class FigureReport {
     std::string series;
     i32 p = 0;
     std::vector<std::pair<std::string, double>> metrics;
+
+    bool operator==(const SeriesPoint&) const = default;
   };
 
   /// Order-preserving merge: adds every point exactly as a sequential

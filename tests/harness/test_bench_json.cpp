@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "harness/bench_common.hpp"
 #include "support/test_support.hpp"
@@ -176,6 +178,32 @@ TEST_F(BenchJson, HistogramEntriesCarrySummaryAndBuckets) {
 TEST_F(BenchJson, UnwritablePathReturnsFalse) {
   const harness::FigureReport report = sample_report();
   EXPECT_FALSE(report.write_json("/nonexistent-dir/nope/record.json"));
+}
+
+// --trace-out is only accepted by benches that write a trace; elsewhere it
+// would exit 0 without ever writing the file.
+void parse_trace_out(bool writes_trace) {
+  std::string prog = "bench";
+  std::string flag = "--trace-out";
+  std::string path = "trace.json";
+  char* argv[] = {prog.data(), flag.data(), path.data()};
+  harness::apply_bench_cli(3, argv, writes_trace);
+}
+
+TEST(BenchCliDeathTest, TraceOutIsRejectedUnlessTheBenchWritesATrace) {
+  EXPECT_EXIT(parse_trace_out(/*writes_trace=*/false),
+              ::testing::ExitedWithCode(2),
+              "usage: bench \\[--smoke\\] \\[--quick\\] \\[--jobs <n>\\] "
+              "\\[--json <path>\\]\n");
+}
+
+TEST(BenchCliDeathTest, TraceOutIsAcceptedWhenTheBenchWritesATrace) {
+  EXPECT_EXIT(
+      {
+        parse_trace_out(/*writes_trace=*/true);
+        std::exit(harness::bench_trace_out_path() == "trace.json" ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
