@@ -4,8 +4,11 @@
 
 namespace rmalock::locks {
 
-DistributedTree::DistributedTree(rma::World& world)
-    : topo_(world.topology()) {
+DistributedTree::DistributedTree(rma::World& world, Rank anchor)
+    : topo_(world.topology()), anchor_(anchor) {
+  RMALOCK_CHECK_MSG(anchor_ >= 0 && anchor_ < world.nprocs(),
+                    "placement anchor " << anchor_ << " outside [0, "
+                                        << world.nprocs() << ")");
   const i32 n = topo_.num_levels();
   next_.reserve(static_cast<usize>(n));
   status_.reserve(static_cast<usize>(n));

@@ -8,8 +8,15 @@
 //     queue node (NEXT/STATUS words in their own window);
 //   * at levels q < N, what queues up are *elements* of level q+1: each such
 //     element owns one statically-placed queue node hosted in the window of
-//     its representative rank (the element's lowest rank). Whichever process
-//     currently acts for the element uses that shared node.
+//     its representative rank. Whichever process currently acts for the
+//     element uses that shared node.
+//
+// Representatives are chosen by the tree's placement anchor a: element e
+// of level q is represented by the rank at offset a mod |e| inside e (see
+// topo::Topology::rep_rank). a = 0 is the paper's lowest-rank choice; a
+// lock service that builds many trees gives each its own anchor, so their
+// tails and element nodes land on distinct ranks instead of queueing on
+// the same few NICs (docs/DESIGN.md §2.7).
 //
 // The per-element nodes are the detail that makes the paper's protocols
 // well-defined: the process that releases a level upward (Listing 5 line 12)
@@ -36,7 +43,9 @@ namespace rmalock::locks {
 class DistributedTree {
  public:
   /// Collective: allocates NEXT/STATUS/TAIL words for every level.
-  explicit DistributedTree(rma::World& world);
+  /// `anchor` (a rank) places the representatives; the root tail lives on
+  /// `anchor` itself.
+  explicit DistributedTree(rma::World& world, Rank anchor = 0);
 
   [[nodiscard]] i32 num_levels() const { return topo_.num_levels(); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
@@ -93,13 +102,13 @@ class DistributedTree {
   /// element above.
   [[nodiscard]] Rank node_host(Rank p, i32 q) const {
     if (q == num_levels()) return p;
-    return topo_.rep_rank(q + 1, topo_.element_of(p, q + 1));
+    return topo_.rep_rank(q + 1, topo_.element_of(p, q + 1), anchor_);
   }
 
   /// The paper's tail_rank[q, e(p,q)]: rank hosting the TAIL pointer of the
   /// DQ serving p's element at level q.
   [[nodiscard]] Rank tail_host(Rank p, i32 q) const {
-    return topo_.rep_rank(q, topo_.element_of(p, q));
+    return topo_.rep_rank(q, topo_.element_of(p, q), anchor_);
   }
 
   [[nodiscard]] WinOffset next_offset(i32 q) const {
@@ -114,6 +123,7 @@ class DistributedTree {
 
  private:
   topo::Topology topo_;
+  Rank anchor_ = 0;
   // Window offsets, one triple per level (index q-1).
   std::vector<WinOffset> next_;
   std::vector<WinOffset> status_;

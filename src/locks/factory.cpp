@@ -19,7 +19,7 @@ namespace {
 /// matrix; LockSpace needs it as a constructible backend.)
 class DTreeExclusive final : public ExclusiveLock {
  public:
-  explicit DTreeExclusive(rma::World& world) : tree_(world) {}
+  DTreeExclusive(rma::World& world, Rank anchor) : tree_(world, anchor) {}
 
   void acquire(rma::RmaComm& comm) override {
     for (i32 q = tree_.num_levels(); q >= 1; --q) {
@@ -98,9 +98,10 @@ std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
     case Backend::kDMcs:
       return std::make_unique<DMcs>(world, resolve_home(home));
     case Backend::kRmaMcs:
-      return std::make_unique<RmaMcs>(world);
+      return std::make_unique<RmaMcs>(
+          world, RmaMcsParams::defaults(world.topology()), resolve_home(home));
     case Backend::kDTree:
-      return std::make_unique<DTreeExclusive>(world);
+      return std::make_unique<DTreeExclusive>(world, resolve_home(home));
     case Backend::kFompiRw:
     case Backend::kRmaRw:
       return std::make_unique<RwAsExclusive>(make_rw(b, world, home));
@@ -124,7 +125,8 @@ std::unique_ptr<RwLock> make_rw(Backend b, rma::World& world, Rank home) {
     case Backend::kFompiRw:
       return std::make_unique<FompiRw>(world, resolve_home(home));
     case Backend::kRmaRw:
-      return std::make_unique<RmaRw>(world);
+      return std::make_unique<RmaRw>(
+          world, RmaRwParams::defaults(world.topology()), resolve_home(home));
     default:
       return nullptr;
   }

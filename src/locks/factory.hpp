@@ -7,11 +7,15 @@
 // round-tripping for CLIs and JSON records, and make_exclusive / make_rw
 // constructors that accept an optional home rank.
 //
-// Home semantics: the centralized protocols (foMPI-Spin, foMPI-RW) host
-// their single lock word on `home`; D-MCS hosts its tail pointer there.
-// The hierarchical locks (RMA-MCS, DTree, RMA-RW) place their state across
-// the machine's representative ranks by construction — their placement *is*
-// the topology — so `home` is ignored for them.
+// Home semantics: every backend is placed at `home`. The centralized
+// protocols (foMPI-Spin, foMPI-RW) host their single lock word there; D-MCS
+// hosts its tail pointer there; the lease backends host their lease word
+// there. The hierarchical locks (RMA-MCS, DTree, RMA-RW) take `home` as
+// their placement anchor: the root tail sits on `home`, every other
+// element is represented by the rank at offset home mod |element| inside
+// it, and RMA-RW's counter g sits at g·T_DC + home mod T_DC
+// (docs/DESIGN.md §2.7). Home 0 (the default) is the paper's lowest-rank
+// placement.
 #pragma once
 
 #include <memory>
@@ -53,8 +57,7 @@ enum class Backend : u8 {
 
 /// Collective: constructs one exclusive lock of the given backend. RW
 /// backends are adapted (acquire == acquire_write) so every backend can
-/// serve exclusive callers. `home` as documented above; kNilRank = rank 0
-/// for the centralized protocols.
+/// serve exclusive callers. `home` as documented above; kNilRank = rank 0.
 std::unique_ptr<ExclusiveLock> make_exclusive(Backend b, rma::World& world,
                                               Rank home = kNilRank);
 

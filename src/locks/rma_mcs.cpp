@@ -4,8 +4,8 @@
 
 namespace rmalock::locks {
 
-RmaMcs::RmaMcs(rma::World& world, RmaMcsParams params)
-    : tree_(world), params_(std::move(params)) {
+RmaMcs::RmaMcs(rma::World& world, RmaMcsParams params, Rank anchor)
+    : tree_(world, anchor), params_(std::move(params)) {
   RMALOCK_CHECK_MSG(params_.locality.size() ==
                         static_cast<usize>(tree_.num_levels()),
                     "RmaMcsParams::locality needs one threshold per level");

@@ -36,8 +36,10 @@ struct RmaMcsParams {
 
 class RmaMcs final : public ExclusiveLock {
  public:
-  /// Collective. Pass params with `locality[q-1]` = T_L,q.
-  RmaMcs(rma::World& world, RmaMcsParams params);
+  /// Collective. Pass params with `locality[q-1]` = T_L,q. `anchor` places
+  /// the tree's representatives (DistributedTree); 0 is the paper's
+  /// lowest-rank placement.
+  RmaMcs(rma::World& world, RmaMcsParams params, Rank anchor = 0);
   explicit RmaMcs(rma::World& world)
       : RmaMcs(world, RmaMcsParams::defaults(world.topology())) {}
 

@@ -4,10 +4,10 @@
 
 namespace rmalock::locks {
 
-RmaRw::RmaRw(rma::World& world, RmaRwParams params)
-    : tree_(world),
+RmaRw::RmaRw(rma::World& world, RmaRwParams params, Rank anchor)
+    : tree_(world, anchor),
       params_(std::move(params)),
-      counter_hosts_(world.topology().counter_hosts(params_.tdc)),
+      counter_hosts_(world.topology().counter_hosts(params_.tdc, anchor)),
       arrive_(world.allocate(1)),
       depart_(world.allocate(1)) {
   RMALOCK_CHECK_MSG(params_.locality.size() ==
@@ -194,49 +194,6 @@ void RmaRw::acquire_read_impl(rma::RmaComm& comm) {
       done = true;  // admitted: we are in the CS
     }
   }
-}
-
-AcquireResult RmaRw::try_acquire_read_for(rma::RmaComm& comm,
-                                          Nanos deadline_ns,
-                                          const RetryPolicy& retry) {
-  AcquireResult result{};
-  {
-    rma::ObsSpan span(comm, obs::EventCode::kAcquireRead, /*a=*/1);
-    const Rank counter = counter_of(comm.rank());
-    const Rank root_tail = tree_.tail_host(comm.rank(), 1);
-    u32 attempts = 0;
-    for (;;) {
-      ++attempts;
-      const i64 current = comm.fao(1, counter, arrive_, rma::AccumOp::kSum);
-      comm.flush(counter);
-      if (current < params_.tr) {
-        result = AcquireResult{AcquireStatus::kAcquired, attempts};
-        break;
-      }
-      // T_R overrun or WRITE mode: cancel the arrival — a timed-out reader
-      // must hold nothing — and retry with backoff instead of parking.
-      comm.iaccumulate(-1, counter, arrive_, rma::AccumOp::kSum);
-      comm.flush(counter);
-      if (current < kWriteFlagThreshold) {
-        // Plain overrun: keep the shared reader-side reset duty (see
-        // acquire_read) so timed readers do not strand a writer-free
-        // counter.
-        const i64 tail = comm.get(root_tail, tree_.tail_offset(1));
-        comm.flush(root_tail);
-        if (tail == kNilRank) reader_reset_counter(comm, counter);
-      }
-      if (attempts >= retry.max_attempts || comm.now_ns() >= deadline_ns) {
-        result = AcquireResult{AcquireStatus::kTimeout, attempts};
-        break;
-      }
-      const Nanos delay = retry.delay_for(attempts - 1, comm.rng());
-      if (delay > 0) comm.compute(delay);
-    }
-  }
-  if (result.status == AcquireStatus::kAcquired) {
-    rma::obs_event(comm, obs::EventCode::kReadSection, obs::Phase::kBegin);
-  }
-  return result;
 }
 
 void RmaRw::release_read(rma::RmaComm& comm) {

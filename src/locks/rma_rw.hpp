@@ -71,8 +71,11 @@ struct RmaRwParams {
 
 class RmaRw final : public RwLock {
  public:
-  /// Collective.
-  RmaRw(rma::World& world, RmaRwParams params);
+  /// Collective. `anchor` places the tree's representatives
+  /// (DistributedTree) and each counter inside its T_DC group (counter g at
+  /// g·T_DC + anchor mod T_DC, see topo::Topology::counter_hosts); 0 is the
+  /// paper's lowest-rank placement.
+  RmaRw(rma::World& world, RmaRwParams params, Rank anchor = 0);
   explicit RmaRw(rma::World& world)
       : RmaRw(world, RmaRwParams::defaults(world.topology())) {}
 
@@ -82,11 +85,6 @@ class RmaRw final : public RwLock {
   // Listings 4/7 and 5/8.
   void acquire_write(rma::RmaComm& comm) override;
   void release_write(rma::RmaComm& comm) override;
-  /// Timed read: the Listing 9 FAO-arrival attempt with the back-off loop
-  /// bounded by the deadline (arrivals are always cancelled on back-off, so
-  /// a timed-out reader holds nothing); the reader-side reset duty is kept.
-  AcquireResult try_acquire_read_for(rma::RmaComm& comm, Nanos deadline_ns,
-                                     const RetryPolicy& retry) override;
   /// Timed write: CAS-if-empty climb to the root (never waits behind a
   /// predecessor), then flag + deadline-bounded reader drain. A drain
   /// timeout undoes the claim — counters reopen, the root queue is left
@@ -102,7 +100,7 @@ class RmaRw final : public RwLock {
 
   /// c(p) — the physical counter serving process p (§3.2.1).
   [[nodiscard]] Rank counter_of(Rank p) const {
-    return topo::Topology::counter_host(p, params_.tdc);
+    return counter_hosts_[static_cast<usize>(p / params_.tdc)];
   }
   [[nodiscard]] const std::vector<Rank>& counter_hosts() const {
     return counter_hosts_;

@@ -254,6 +254,12 @@ Rank LockSpace::home_of_shard_at(i32 shard, i32 plane) const {
   return leaf * ppl + index_in_leaf;
 }
 
+Rank LockSpace::slot_home(i32 shard, i32 slot, i32 plane) const {
+  const i32 ppl = world_.topology().procs_per_leaf();
+  const Rank home = home_of_shard_at(shard, plane);
+  return home - home % ppl + (home % ppl + slot) % ppl;
+}
+
 std::vector<u64> LockSpace::distinct_slot_keys(i32 count) const {
   RMALOCK_CHECK_MSG(static_cast<u32>(count) <= total_slots(),
                     "cannot pick " << count << " cross-slot keys from "
@@ -272,7 +278,11 @@ std::vector<u64> LockSpace::distinct_slot_keys(i32 count) const {
 void LockSpace::instantiate_slot(i32 shard_index, u32 global_slot,
                                  i32 plane) {
   Slot& slot = slots_[slot_index(plane, global_slot)];
-  const Rank home = home_of_shard_at(shard_index, plane);
+  const Rank home = slot_home(
+      shard_index,
+      static_cast<i32>(global_slot %
+                       static_cast<u32>(config_.slots_per_shard)),
+      plane);
   SlotArena arena(world_, slot.arena_base, words_per_slot_);
   if (rw_capable()) {
     slot.rw = locks::make_rw(config_.backend, arena, home);
@@ -302,6 +312,12 @@ LockSpace::Slot& LockSpace::ensure_slot(const LockRef& ref, i32 plane) {
     instantiate_slot(ref.shard, ref.global_slot, plane);
   }
   return slot;
+}
+
+LockSpace::SlotInstance LockSpace::slot_instance(u64 key, i32 plane) {
+  RMALOCK_CHECK(plane >= 0 && plane < planes());
+  const Slot& slot = ensure_slot(resolve(key), plane);
+  return SlotInstance{slot.rw.get(), slot.ex.get()};
 }
 
 template <typename Fn>

@@ -14,11 +14,16 @@
 //   lookup RPC). This is the placement style of the paper's DHT (§5.3) and
 //   of ALock's per-key handle tables.
 // * Topology-aware homing: shards are spread across the machine's leaf
-//   elements round-robin (leaf-major), and each shard's home rank hosts the
-//   hot word of centralized backends (foMPI-Spin/RW lock word, D-MCS tail).
-//   Hierarchical backends (RMA-MCS, DTree, RMA-RW) already distribute
-//   their state over representative ranks — their placement *is* the
-//   topology — so homing only determines the shard's accounting identity.
+//   elements round-robin (leaf-major). Each slot is built at its own slot
+//   home: the shard's home rotated inside its leaf by the slot index, so
+//   the slots of one shard sit on distinct ranks of the shard's node. The
+//   slot home hosts the hot word of centralized backends (foMPI-Spin/RW
+//   lock word, D-MCS tail, lease word) and is the placement anchor of the
+//   hierarchical ones (RMA-MCS, DTree, RMA-RW): their root tail sits on it
+//   and their per-element representatives and counters at the same offset
+//   inside every other element (docs/DESIGN.md §2.7). Without the rotation
+//   every slot's root tail would queue on one rank's NIC. The versioned
+//   payload words stay on the shard's home rank.
 // * Striping: two keys that collide on (shard, slot) share a physical lock.
 //   Mutual exclusion per key is preserved (the shared lock is simply
 //   coarser); cross-key concurrency is what slots_per_shard buys.
@@ -139,6 +144,12 @@ class LockSpace {
 
   /// Home rank of shard s: shards spread leaf-major across the machine.
   [[nodiscard]] Rank home_of_shard(i32 shard) const;
+
+  /// Slot home of (shard, slot) at migration epoch `plane`: the shard's
+  /// home at that plane rotated inside its leaf by the slot index,
+  /// leaf_base + (home mod ppl + slot) mod ppl. The slot's backend is
+  /// built at this rank (see locks::make_exclusive for what `home` places).
+  [[nodiscard]] Rank slot_home(i32 shard, i32 slot, i32 plane = 0) const;
 
   /// First `count` keys (scanning upward from 0) that resolve to pairwise
   /// distinct slots — the keys tests and MC campaigns use so "different
@@ -300,6 +311,15 @@ class LockSpace {
     return instantiated_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::string describe() const;
+
+  /// The backend instance serving `key` at migration epoch `plane`,
+  /// constructed on first touch as an acquire would (placement
+  /// inspection). Exactly one member is set, per backend kind.
+  struct SlotInstance {
+    const locks::RwLock* rw = nullptr;
+    const locks::ExclusiveLock* ex = nullptr;
+  };
+  [[nodiscard]] SlotInstance slot_instance(u64 key, i32 plane = 0);
 
   /// Window words reserved per slot for this backend under this topology.
   [[nodiscard]] static usize slot_words(locks::Backend backend,

@@ -1,5 +1,6 @@
 #include "topo/topology.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -52,10 +53,13 @@ Topology Topology::discover(i32 default_nprocs) {
   return uniform({}, default_nprocs);
 }
 
-std::vector<Rank> Topology::counter_hosts(i32 tdc) const {
+std::vector<Rank> Topology::counter_hosts(i32 tdc, Rank anchor) const {
   RMALOCK_CHECK_MSG(tdc >= 1, "T_DC=" << tdc << " must be >= 1");
+  RMALOCK_CHECK_MSG(anchor >= 0, "anchor=" << anchor << " must be >= 0");
   std::vector<Rank> hosts;
-  for (Rank r = 0; r < nprocs_; r += tdc) hosts.push_back(r);
+  for (Rank base = 0; base < nprocs_; base += tdc) {
+    hosts.push_back(base + anchor % std::min(tdc, nprocs_ - base));
+  }
   return hosts;
 }
 

@@ -82,11 +82,15 @@ class Topology {
     return p / procs_per_element(level);
   }
 
-  /// Representative rank of element j at level i: the lowest rank inside
-  /// the element. It hosts the element's queue node and, where applicable,
-  /// the DQ tail pointer (the paper's tail_rank[i, j]).
-  [[nodiscard]] Rank rep_rank(i32 level, i32 elem) const {
-    return elem * procs_per_element(level);
+  /// Representative rank of element j at level i under placement anchor
+  /// `anchor`: the rank at offset anchor mod |element| inside the element.
+  /// It hosts the element's queue node and, where applicable, the DQ tail
+  /// pointer (the paper's tail_rank[i, j]). Anchor 0 is the paper's choice,
+  /// the element's lowest rank; distinct anchors spread the representatives
+  /// of many lock instances over distinct ranks (docs/DESIGN.md §2.7).
+  [[nodiscard]] Rank rep_rank(i32 level, i32 elem, Rank anchor = 0) const {
+    const i32 ppe = procs_per_element(level);
+    return elem * ppe + anchor % ppe;
   }
 
   /// [first, last) ranks of element j at level i.
@@ -115,13 +119,17 @@ class Topology {
   /// of its group: c(p) = ⌊p / T_DC⌋ · T_DC (0-based version of the paper's
   /// ⌈p/T_DC⌉ placement). T_DC = k · procs_per_leaf puts one counter on
   /// every k-th node, which is the topology-aware placement the paper
-  /// recommends.
+  /// recommends. This is the anchor-0 placement of counter_hosts().
   [[nodiscard]] static Rank counter_host(Rank p, i32 tdc) {
     return (p / tdc) * tdc;
   }
 
-  /// All counter-hosting ranks for threshold tdc (every T_DC-th process).
-  [[nodiscard]] std::vector<Rank> counter_hosts(i32 tdc) const;
+  /// All counter-hosting ranks for threshold tdc: counter g serves ranks
+  /// [g·T_DC, (g+1)·T_DC) and lives at offset anchor mod |group| inside
+  /// that group, so a T_DC that does not divide P (a short last group)
+  /// still places every counter in range. Anchor 0 gives every T_DC-th
+  /// process, i.e. counter_host(p, tdc) for each group.
+  [[nodiscard]] std::vector<Rank> counter_hosts(i32 tdc, Rank anchor = 0) const;
 
   /// Human-readable description, e.g. "N=3 [machine x 2 racks x 4 nodes],
   /// 16 procs/node, P=128".

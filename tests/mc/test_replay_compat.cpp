@@ -31,12 +31,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "mc/checker.hpp"
 #include "mc/registry.hpp"
 #include "mc/schedule.hpp"
+#include "support/test_support.hpp"
 
 #ifndef RMALOCK_TEST_DATA_DIR
 #error "RMALOCK_TEST_DATA_DIR must point at tests/mc/data"
@@ -238,6 +242,44 @@ TEST(ReplayCompat, GoldenTracesReplayBitIdentically) {
         << outcome.run.schedule.picks.size() << " picks, golden has "
         << golden.trace.picks.size() << ")";
   }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Every golden parses and writes back byte for byte, so each key the
+// goldens carry (crashes, tears, delays/partitions, drift) survives a
+// parse/serialize round trip. A v1 file has no crash model; it writes back
+// in the v2 format that added one, which changes only the magic line.
+TEST(ReplayCompat, GoldenTracesRoundTripThroughWriteTraceFile) {
+  usize files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RMALOCK_TEST_DATA_DIR)) {
+    const std::string name = entry.path().filename().string();
+    const bool golden = name.rfind("replay_", 0) == 0 &&
+                        entry.path().extension() == ".trace";
+    if (!golden) continue;
+    SCOPED_TRACE(name);
+    ++files;
+    std::string expected = read_bytes(entry.path().string());
+    const std::string v1 = "rmalock-trace v1\n";
+    if (expected.rfind(v1, 0) == 0) {
+      expected.replace(0, v1.size(), "rmalock-trace v2\n");
+    }
+    mc::TraceCase parsed;
+    std::string error;
+    ASSERT_TRUE(mc::read_trace_file(entry.path().string(), &parsed, &error))
+        << error;
+    const std::string out = test::test_temp_path("_" + name);
+    ASSERT_TRUE(mc::write_trace_file(out, parsed, &error)) << error;
+    EXPECT_EQ(read_bytes(out), expected);
+    std::filesystem::remove(out);
+  }
+  EXPECT_EQ(files, golden_cases().size());
 }
 
 }  // namespace
